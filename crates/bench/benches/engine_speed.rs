@@ -1,18 +1,16 @@
-//! Engine shoot-out: the native closure tier and the bytecode kernel engine
-//! against the reference tree-walking interpreter on the two paper-scale
-//! hot loops (JACOBI's stencil sweep and KMEANS's assignment/update
+//! Engine shoot-out: the bytecode kernel engine, with and without its
+//! optimizer, against the reference tree-walking interpreter on the two
+//! paper-scale hot loops (JACOBI's stencil sweep and KMEANS's assignment/update
 //! kernels), launching each compiled kernel directly so nothing but the
 //! execution engine differs.
 //!
-//! Beyond the criterion numbers, the bench asserts each tier's reason to
+//! Beyond the criterion numbers, the bench asserts each engine's reason to
 //! exist: at least a 3x speedup of bytecode over the tree walker on the
 //! JACOBI hot loop (the kernels `report -- figure1` spends its wall time
-//! in); the `opt_speed` gate — the bytecode optimizer must be worth at
-//! least 1.5x over raw bytecode on the same loop; and the `native_speed`
-//! gate — the native closure tier must be worth at least 1.5x over
-//! optimized bytecode there too. Every gate arm uses the same
-//! best-of-`BEST_OF` protocol over `GATE_REPS`-launch averages, so no arm
-//! gets a noise advantage. A regression below any gate fails `cargo bench`
+//! in); and the `opt_speed` gate — the bytecode optimizer must be worth at
+//! least 1.5x over raw bytecode on the same loop. Every gate arm uses the
+//! same best-of-`BEST_OF` protocol over `GATE_REPS`-launch averages, so no
+//! arm gets a noise advantage. A regression below any gate fails `cargo bench`
 //! (and the CI bench-smoke job, which runs every bench once in test mode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -64,7 +62,7 @@ fn bench(c: &mut Criterion) {
 
     // The acceptance gates, measured outside criterion so they also run
     // (and fail loudly) in `cargo bench -- --test` smoke mode. Every arm —
-    // tree, raw bytecode, optimized bytecode, native — is measured with the
+    // tree, raw bytecode, optimized bytecode — is measured with the
     // identical protocol: best of `BEST_OF` timings, each the mean over
     // `GATE_REPS` full-kernel-set launches. (An earlier version gave the
     // optimizer arms more reps than the tree arms, which let the two gates'
@@ -103,30 +101,6 @@ fn bench(c: &mut Criterion) {
          got {opt_ratio:.2}x (opt-off {raw:.4}s vs opt-on {opt:.4}s)"
     );
 
-    // `native_speed` gate: the hotness tier's monomorphized closures must
-    // beat the typed VM they specialize, on the same loop. Forcing
-    // `Engine::Native` compiles the closures on the first launch; the
-    // one-time compile cost is amortized inside the reps, exactly as a
-    // promoted plan amortizes it across a sweep.
-    let native = best("JACOBI", Engine::Native, Toggle::On);
-    let native_ratio = opt / native;
-    println!("native_speed: JACOBI hot loop (paper scale): bytecode-opt {opt:.4}s, native {native:.4}s");
-    println!("native_speed: native speedup over optimized bytecode: {native_ratio:.2}x");
-    assert!(
-        native_ratio >= 1.5,
-        "native_speed gate: native tier must be >= 1.5x optimized bytecode on the JACOBI hot loop, \
-         got {native_ratio:.2}x (bytecode-opt {opt:.4}s vs native {native:.4}s)"
-    );
-
-    // Informational cross-benchmark numbers (no gate): the same
-    // native-over-bytecode-opt ratio on three differently shaped hot loops
-    // — CFD's flux kernels, NW's wavefront, SPMUL's irregular gather.
-    for name in ["CFD", "NW", "SPMUL"] {
-        let b = best(name, Engine::Bytecode, Toggle::On);
-        let n = best(name, Engine::Native, Toggle::On);
-        println!("native_speed: {name} (paper scale): bytecode-opt {b:.4}s, native {n:.4}s ({:.2}x)", b / n);
-    }
-
     let mut g = c.benchmark_group("engine_speed");
     g.sample_size(10).measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_millis(500));
     for name in ["JACOBI", "KMEANS"] {
@@ -134,7 +108,6 @@ fn bench(c: &mut Criterion) {
             ("tree", Engine::Tree, Toggle::On),
             ("bytecode-raw", Engine::Bytecode, Toggle::Off),
             ("bytecode-opt", Engine::Bytecode, Toggle::On),
-            ("native", Engine::Native, Toggle::On),
         ] {
             g.bench_with_input(BenchmarkId::new(label, name), &(eng, opt), |b, &(eng, opt)| {
                 set_opt_override(Some(opt));

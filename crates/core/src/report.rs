@@ -260,7 +260,7 @@ pub fn figure1_csv(fig: &Figure1) -> String {
 pub struct BenchSweep {
     /// Schema tag, bumped on layout changes.
     pub schema: String,
-    /// Kernel engine the sweep ran on (`tree`/`bytecode`/`native`/`auto`).
+    /// Kernel engine the sweep ran on (`tree`/`bytecode`).
     pub engine: String,
     pub scale: String,
     pub with_tuning: bool,
@@ -311,18 +311,12 @@ pub struct BenchSweep {
     pub opt_ops_post: u64,
     /// CSE eliminations summed over those kernels.
     pub opt_cse_hits: u64,
-    /// Launches executed through the native closure tier.
-    pub native_launches: u64,
-    /// Plans `auto` promoted to the native tier mid-sweep.
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode.
-    pub native_ineligible: u64,
 }
 
 /// Build the `results/BENCH_sweep.json` payload from a sweep manifest.
 pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
     let payload = BenchSweep {
-        schema: "acceval-bench-sweep/7".to_string(),
+        schema: "acceval-bench-sweep/8".to_string(),
         engine: engine.to_string(),
         scale: m.scale.clone(),
         with_tuning: m.with_tuning,
@@ -349,9 +343,6 @@ pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
         opt_ops_pre: m.opt_ops_pre,
         opt_ops_post: m.opt_ops_post,
         opt_cse_hits: m.opt_cse_hits,
-        native_launches: m.native_launches,
-        promotions: m.promotions,
-        native_ineligible: m.native_ineligible,
     };
     serde_json::to_string_pretty(&payload).expect("bench sweep serializes")
 }

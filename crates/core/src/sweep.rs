@@ -23,7 +23,6 @@ use acceval_benchmarks::{Benchmark, Scale};
 use acceval_ir::interp::cpu::CpuRun;
 use acceval_ir::interp::gpu::{launch_par, set_launch_par_hint, LaunchPar};
 use acceval_ir::interp::launch_cache::{launch_cache_name, launch_cache_totals, thread_cache_counters};
-use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::interp::opt::{opt_name, thread_opt_counters};
 use acceval_ir::interp::store::{self as launch_store, Dec, Enc};
 use acceval_ir::program::DataSet;
@@ -344,15 +343,6 @@ pub struct RunRecord {
     pub opt_ops_post: u64,
     /// Redundant computations eliminated by CSE across those kernels.
     pub opt_cse_hits: u64,
-    /// Launches this task executed through the native closure tier.
-    pub native_launches: u64,
-    /// Plans `ACCEVAL_ENGINE=auto` promoted to the native tier during this
-    /// task (0 under fixed engines, and for tasks whose plans were already
-    /// promoted).
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode (no typed lowering,
-    /// optimizer off, or incompatible warp width).
-    pub native_ineligible: u64,
 }
 
 /// The oracle cost entry of the manifest.
@@ -461,15 +451,8 @@ pub struct SweepManifest {
     pub opt_ops_post: u64,
     /// CSE eliminations summed over those kernels.
     pub opt_cse_hits: u64,
-    /// The engine selection the sweep ran under
-    /// (`tree`/`bytecode`/`native`/`auto`).
+    /// The engine the sweep ran under (`tree`/`bytecode`).
     pub engine: String,
-    /// Native-tier launches summed over the sweep's tasks.
-    pub native_launches: u64,
-    /// `auto` promotions to the native tier summed over tasks.
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode, summed over tasks.
-    pub native_ineligible: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +490,6 @@ fn run_task(
     // migrate threads mid-run, so the before/after delta is this task's.
     let (h0, dh0, m0, d0) = thread_cache_counters();
     let (ok0, op0, oq0, oc0) = thread_opt_counters();
-    let (nl0, np0, ni0) = thread_native_counters();
     let ds = cached_dataset(bench, scale);
     let (oracle, oracle_cached) = cached_oracle_tracked(bench, scale, cfg);
     let (compiled, compile_cached) = cached_compile_tracked(bench, task.model, scale, task.tuning.as_ref());
@@ -530,7 +512,6 @@ fn run_task(
     };
     let (h1, dh1, m1, d1) = thread_cache_counters();
     let (ok1, op1, oq1, oc1) = thread_opt_counters();
-    let (nl1, np1, ni1) = thread_native_counters();
     RunRecord {
         task: index,
         benchmark: task.benchmark.clone(),
@@ -557,9 +538,6 @@ fn run_task(
         opt_ops_pre: op1 - op0,
         opt_ops_post: oq1 - oq0,
         opt_cse_hits: oc1 - oc0,
-        native_launches: nl1 - nl0,
-        promotions: np1 - np0,
-        native_ineligible: ni1 - ni0,
     }
 }
 
@@ -749,9 +727,6 @@ fn run_enumerated(
     let opt_ops_pre: u64 = records.iter().map(|r| r.opt_ops_pre).sum();
     let opt_ops_post: u64 = records.iter().map(|r| r.opt_ops_post).sum();
     let opt_cse_hits: u64 = records.iter().map(|r| r.opt_cse_hits).sum();
-    let native_launches: u64 = records.iter().map(|r| r.native_launches).sum();
-    let promotions: u64 = records.iter().map(|r| r.promotions).sum();
-    let native_ineligible: u64 = records.iter().map(|r| r.native_ineligible).sum();
 
     SweepManifest {
         scale: format!("{scale:?}"),
@@ -786,9 +761,6 @@ fn run_enumerated(
         opt_ops_post,
         opt_cse_hits,
         engine: acceval_ir::interp::gpu::engine_name().to_string(),
-        native_launches,
-        promotions,
-        native_ineligible,
     }
 }
 

@@ -62,23 +62,14 @@ pub fn parse_toggle(var: &str, s: &str) -> Result<Toggle, EnvError> {
     }
 }
 
-/// Parse an engine name (`tree` | `bytecode` | `native` | `auto`). Returns
-/// the raw name; the executor maps it onto its `Engine` enum (`auto` is
-/// bytecode with hotness-driven promotion to the native tier).
+/// Parse an engine name (`tree` | `bytecode`). Returns the raw name; the
+/// executor maps it onto its `Engine` enum.
 pub fn parse_engine_name(s: &str) -> Result<&'static str, EnvError> {
     match s {
         "tree" => Ok("tree"),
         "bytecode" => Ok("bytecode"),
-        "native" => Ok("native"),
-        "auto" => Ok("auto"),
-        _ => Err(EnvError::new("ACCEVAL_ENGINE", s, "`tree`, `bytecode`, `native` or `auto`")),
+        _ => Err(EnvError::new("ACCEVAL_ENGINE", s, "`tree` or `bytecode`")),
     }
-}
-
-/// Parse an `ACCEVAL_NATIVE_THRESHOLD` value: the launch count past which
-/// `ACCEVAL_ENGINE=auto` promotes a plan to the native tier.
-pub fn parse_native_threshold(s: &str) -> Result<u64, EnvError> {
-    s.trim().parse::<u64>().map_err(|_| EnvError::new("ACCEVAL_NATIVE_THRESHOLD", s, "an integer launch count"))
 }
 
 /// Parse a mebibyte count into bytes.
@@ -136,7 +127,6 @@ pub fn parse_device_name(s: &str) -> Result<acceval_sim::DeviceConfig, EnvError>
 pub const KNOWN_VARS: &[&str] = &[
     "ACCEVAL_DEVICE",
     "ACCEVAL_ENGINE",
-    "ACCEVAL_NATIVE_THRESHOLD",
     "ACCEVAL_LAUNCH_PAR",
     "ACCEVAL_LAUNCH_CACHE",
     "ACCEVAL_OPT",
@@ -155,33 +145,30 @@ pub const KNOWN_VARS: &[&str] = &[
 /// still set their own variables through the process environment — as long
 /// as they don't squat the `ACCEVAL_` prefix.
 pub fn validate_env() -> Result<(), EnvError> {
-    for (k, v) in std::env::vars() {
-        if !k.starts_with("ACCEVAL_") {
-            continue;
+    std::env::vars().filter(|(k, _)| k.starts_with("ACCEVAL_")).try_for_each(|(k, v)| validate_var(&k, &v))
+}
+
+/// Validate one `ACCEVAL_*` setting (see [`validate_env`]).
+fn validate_var(k: &str, v: &str) -> Result<(), EnvError> {
+    match k {
+        "ACCEVAL_DEVICE" => {
+            parse_device_name(v)?;
         }
-        match k.as_str() {
-            "ACCEVAL_DEVICE" => {
-                parse_device_name(&v)?;
-            }
-            "ACCEVAL_ENGINE" => {
-                parse_engine_name(&v)?;
-            }
-            "ACCEVAL_NATIVE_THRESHOLD" => {
-                parse_native_threshold(&v)?;
-            }
-            "ACCEVAL_LAUNCH_PAR" | "ACCEVAL_LAUNCH_CACHE" | "ACCEVAL_OPT" => {
-                parse_toggle(&k, &v)?;
-            }
-            "ACCEVAL_LAUNCH_CACHE_CAP_MB" | "ACCEVAL_STORE_CAP_MB" => {
-                parse_cap_mb(&k, &v)?;
-            }
-            "ACCEVAL_STORE" => {
-                parse_store_mode(&v)?;
-            }
-            // Free-form: any string is a valid epoch label.
-            "ACCEVAL_STORE_EPOCH" => {}
-            _ => return Err(EnvError::new(&k, &v, &format!("no such ACCEVAL knob; known: {}", KNOWN_VARS.join(", ")))),
+        "ACCEVAL_ENGINE" => {
+            parse_engine_name(v)?;
         }
+        "ACCEVAL_LAUNCH_PAR" | "ACCEVAL_LAUNCH_CACHE" | "ACCEVAL_OPT" => {
+            parse_toggle(k, v)?;
+        }
+        "ACCEVAL_LAUNCH_CACHE_CAP_MB" | "ACCEVAL_STORE_CAP_MB" => {
+            parse_cap_mb(k, v)?;
+        }
+        "ACCEVAL_STORE" => {
+            parse_store_mode(v)?;
+        }
+        // Free-form: any string is a valid epoch label.
+        "ACCEVAL_STORE_EPOCH" => {}
+        _ => return Err(EnvError::new(k, v, &format!("no such ACCEVAL knob; known: {}", KNOWN_VARS.join(", ")))),
     }
     Ok(())
 }
@@ -212,21 +199,21 @@ mod tests {
     fn engine_name_parses() {
         assert_eq!(parse_engine_name("tree"), Ok("tree"));
         assert_eq!(parse_engine_name("bytecode"), Ok("bytecode"));
-        assert_eq!(parse_engine_name("native"), Ok("native"));
-        assert_eq!(parse_engine_name("auto"), Ok("auto"));
-        let e = parse_engine_name("jit").unwrap_err();
-        assert_eq!(e.var, "ACCEVAL_ENGINE");
-        assert!(e.to_string().contains("native"), "error must name the accepted engines: {e}");
+        for bad in ["jit", "native", "auto"] {
+            let e = parse_engine_name(bad).unwrap_err();
+            assert_eq!(e.var, "ACCEVAL_ENGINE");
+            assert!(e.to_string().contains("`tree`"), "error must name the accepted engines: {e}");
+            assert!(e.to_string().contains("`bytecode`"), "error must name the accepted engines: {e}");
+            assert_eq!(validate_var("ACCEVAL_ENGINE", bad), Err(e));
+        }
     }
 
     #[test]
-    fn native_threshold_parses() {
-        assert!(KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
-        assert_eq!(parse_native_threshold("8"), Ok(8));
-        assert_eq!(parse_native_threshold(" 0 "), Ok(0));
-        assert!(parse_native_threshold("soon").is_err());
-        assert!(parse_native_threshold("-1").is_err());
-        assert_eq!(parse_native_threshold("nope").unwrap_err().var, "ACCEVAL_NATIVE_THRESHOLD");
+    fn native_threshold_is_an_unknown_knob() {
+        assert!(!KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
+        let e = validate_var("ACCEVAL_NATIVE_THRESHOLD", "8").unwrap_err();
+        assert_eq!(e.var, "ACCEVAL_NATIVE_THRESHOLD");
+        assert!(e.to_string().contains("no such ACCEVAL knob"), "{e}");
     }
 
     #[test]

@@ -993,20 +993,6 @@ impl WarpScratch {
         }
     }
 
-    /// Per-warp reset for a warp whose pricing evidence will be discarded
-    /// (its block's pricing replays from the representative-block cache):
-    /// only the mutable scalar registers are re-broadcast. Legal only ahead
-    /// of the native tier's functional-only variant, which neither reads
-    /// nor writes the evidence arrays this skips resetting.
-    pub(crate) fn begin_warp_functional(&mut self, bc: &KernelBytecode, base_env: &[Value]) {
-        for &(slot, r) in &bc.scal_init_warp {
-            let v = base_env[slot as usize];
-            for lane in 0..self.warp {
-                self.regs[r as usize * self.warp + lane] = v;
-            }
-        }
-    }
-
     /// Reset per-warp state: op counters, traces, and mutable scalar
     /// registers re-broadcast from the base environment.
     pub(crate) fn begin_warp(&mut self, bc: &KernelBytecode, base_env: &[Value]) {
@@ -1165,106 +1151,6 @@ impl RawBuf {
                 *self.f.add(idx) = x as f64;
             }
         }
-    }
-
-    /// Whole-row gather `row[k] = self[flats[k]]` with the range check and
-    /// the payload-kind branch hoisted out of the element loop. Returns
-    /// `false` (writing nothing) unless the payload is f64-backed and every
-    /// index is in range — the caller then takes its per-element path.
-    #[inline]
-    pub(crate) fn gather_f(&self, flats: &[usize], row: &mut [f64]) -> bool {
-        if self.f.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `f` points at `len` elements and every index was just
-        // range-checked above.
-        unsafe {
-            for (d, &fl) in row.iter_mut().zip(flats) {
-                *d = *self.f.add(fl);
-            }
-        }
-        true
-    }
-
-    /// Whole-row i64 gather; see [`Self::gather_f`].
-    #[inline]
-    pub(crate) fn gather_i(&self, flats: &[usize], row: &mut [i64]) -> bool {
-        if self.i.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `i` points at `len` elements and every index was just
-        // range-checked above.
-        unsafe {
-            for (d, &fl) in row.iter_mut().zip(flats) {
-                *d = *self.i.add(fl);
-            }
-        }
-        true
-    }
-
-    /// Whole-row scatter `self[flats[k]] = row[k]`, ascending lane order
-    /// (intra-row index collisions resolve to the last writer, like the
-    /// per-element path). Returns `false` (writing nothing) unless the
-    /// payload is f64-backed and every index is in range.
-    #[inline]
-    pub(crate) fn scatter_f(&self, flats: &[usize], row: &[f64]) -> bool {
-        if self.f.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `f` points at `len` elements and every index was just
-        // range-checked above; concurrent use is covered by the
-        // lane-disjointness rule documented on [`RawBuf`].
-        unsafe {
-            for (&v, &fl) in row.iter().zip(flats) {
-                *self.f.add(fl) = v;
-            }
-        }
-        true
-    }
-
-    /// Whole-row i64 scatter; see [`Self::scatter_f`].
-    #[inline]
-    pub(crate) fn scatter_i(&self, flats: &[usize], row: &[i64]) -> bool {
-        if self.i.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `i` points at `len` elements and every index was just
-        // range-checked above; concurrent use is covered by the
-        // lane-disjointness rule documented on [`RawBuf`].
-        unsafe {
-            for (&v, &fl) in row.iter().zip(flats) {
-                *self.i.add(fl) = v;
-            }
-        }
-        true
     }
 }
 

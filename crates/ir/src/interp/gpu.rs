@@ -24,7 +24,6 @@ use acceval_sim::{
 use crate::expr::{Expr, Intrin};
 use crate::interp::bytecode::{self, intrin_cost};
 use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey};
-use crate::interp::native;
 use crate::interp::opt;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
@@ -43,93 +42,50 @@ pub enum Engine {
     /// warps in lockstep over a SoA register file. The default. All scores
     /// and statistics are bit-identical to the tree engine.
     Bytecode,
-    /// The native closure tier ([`crate::interp::native`]): the typed
-    /// optimized stream compiled into monomorphized Rust closures. Requires
-    /// the optimizer's typed lowering; plans without one fall back to
-    /// bytecode. Bit-identical to both lower tiers.
-    Native,
 }
 
-/// Engine selection as configured: a fixed engine for every launch, or
-/// `auto` — bytecode with per-plan hotness-driven promotion to the native
-/// tier (see [`native::native_threshold`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSel {
-    /// Every launch runs this engine (modulo per-body fallbacks).
-    Fixed(Engine),
-    /// Bytecode until a plan's launch count or accumulated simulated cost
-    /// crosses the hotness threshold; native from then on.
-    Auto,
-}
-
-/// Process-wide override: 0 = unset (use env), 1 = tree, 2 = bytecode,
-/// 3 = native, 4 = auto.
+/// Process-wide override: 0 = unset (use env), 1 = tree, 2 = bytecode.
 static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static ENGINE_FROM_ENV: OnceLock<EngineSel> = OnceLock::new();
+static ENGINE_FROM_ENV: OnceLock<Engine> = OnceLock::new();
 
-/// The engine selection for kernel execution: an override installed by
-/// [`set_engine_sel_override`]/[`set_engine_override`] wins, else the
-/// `ACCEVAL_ENGINE` environment variable (`tree` | `bytecode` | `native` |
-/// `auto`), else [`Engine::Bytecode`].
-pub fn engine_sel() -> EngineSel {
+/// The engine selected for kernel execution: an override installed by
+/// [`set_engine_override`] wins, else the `ACCEVAL_ENGINE` environment
+/// variable (`tree` | `bytecode`), else [`Engine::Bytecode`].
+pub fn engine() -> Engine {
     match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return EngineSel::Fixed(Engine::Tree),
-        2 => return EngineSel::Fixed(Engine::Bytecode),
-        3 => return EngineSel::Fixed(Engine::Native),
-        4 => return EngineSel::Auto,
+        1 => return Engine::Tree,
+        2 => return Engine::Bytecode,
         _ => {}
     }
     *ENGINE_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_ENGINE") {
-        // Fail soft to the default engine on a malformed value: all tiers
-        // are bit-identical by contract, so the worst outcome of a typo is
-        // the default's performance profile. Front-end binaries catch the
-        // typo up front via `crate::env::validate_env`.
+        // Fail soft to the default engine on a malformed value: both
+        // engines are bit-identical by contract, so the worst outcome of a
+        // typo is the default's performance profile. Front-end binaries
+        // catch the typo up front via `crate::env::validate_env`.
         Ok(s) => match crate::env::parse_engine_name(&s) {
-            Ok("tree") => EngineSel::Fixed(Engine::Tree),
-            Ok("native") => EngineSel::Fixed(Engine::Native),
-            Ok("auto") => EngineSel::Auto,
-            _ => EngineSel::Fixed(Engine::Bytecode),
+            Ok("tree") => Engine::Tree,
+            _ => Engine::Bytecode,
         },
-        Err(_) => EngineSel::Fixed(Engine::Bytecode),
+        Err(_) => Engine::Bytecode,
     })
-}
-
-/// The fixed engine the current selection starts launches on (`auto`
-/// resolves to [`Engine::Bytecode`] — promotion is per plan, not global).
-pub fn engine() -> Engine {
-    match engine_sel() {
-        EngineSel::Fixed(e) => e,
-        EngineSel::Auto => Engine::Bytecode,
-    }
 }
 
 /// Force an engine for this process (tests/benches), overriding the
 /// environment. `None` returns control to `ACCEVAL_ENGINE`.
 pub fn set_engine_override(e: Option<Engine>) {
-    set_engine_sel_override(e.map(EngineSel::Fixed));
-}
-
-/// Force a full engine *selection* — including [`EngineSel::Auto`] — for
-/// this process, overriding the environment. `None` returns control to
-/// `ACCEVAL_ENGINE`.
-pub fn set_engine_sel_override(s: Option<EngineSel>) {
-    let v = match s {
+    let v = match e {
         None => 0,
-        Some(EngineSel::Fixed(Engine::Tree)) => 1,
-        Some(EngineSel::Fixed(Engine::Bytecode)) => 2,
-        Some(EngineSel::Fixed(Engine::Native)) => 3,
-        Some(EngineSel::Auto) => 4,
+        Some(Engine::Tree) => 1,
+        Some(Engine::Bytecode) => 2,
     };
     ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// Short name of the active engine selection, for reports and manifests.
+/// Short name of the active engine, for reports and manifests.
 pub fn engine_name() -> &'static str {
-    match engine_sel() {
-        EngineSel::Fixed(Engine::Tree) => "tree",
-        EngineSel::Fixed(Engine::Bytecode) => "bytecode",
-        EngineSel::Fixed(Engine::Native) => "native",
-        EngineSel::Auto => "auto",
+    match engine() {
+        Engine::Tree => "tree",
+        Engine::Bytecode => "bytecode",
     }
 }
 
@@ -513,7 +469,7 @@ pub fn launch_with_engine(
     cfg: &DeviceConfig,
     eng: Engine,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, &mut NullSink, EngineSel::Fixed(eng))
+    launch_impl(prog, plan, dev, scal, cfg, &mut NullSink, eng)
 }
 
 /// [`launch_traced`] with an explicit engine choice.
@@ -526,7 +482,7 @@ pub fn launch_traced_with_engine(
     sink: &mut dyn TraceSink,
     eng: Engine,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, sink, EngineSel::Fixed(eng))
+    launch_impl(prog, plan, dev, scal, cfg, sink, eng)
 }
 
 /// [`launch`], emitting structured trace events into `sink`: one
@@ -543,7 +499,7 @@ pub fn launch_traced(
     cfg: &DeviceConfig,
     sink: &mut dyn TraceSink,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, sink, engine_sel())
+    launch_impl(prog, plan, dev, scal, cfg, sink, engine())
 }
 
 fn launch_impl(
@@ -553,20 +509,8 @@ fn launch_impl(
     scal: &mut [Value],
     cfg: &DeviceConfig,
     sink: &mut dyn TraceSink,
-    sel: EngineSel,
+    eng: Engine,
 ) -> LaunchResult {
-    // Hotness bookkeeping runs before the launch-cache probe so a plan's
-    // promotion point is identical with the cache on or off.
-    let n_launch = plan.engine_cache.note_launch();
-    let eng = match sel {
-        EngineSel::Fixed(e) => e,
-        EngineSel::Auto => Engine::Bytecode,
-    };
-    let native_want = match sel {
-        EngineSel::Fixed(Engine::Native) => true,
-        EngineSel::Auto => n_launch > native::native_threshold() || plan.engine_cache.sim_us() >= native::HOT_SIM_US,
-        EngineSel::Fixed(_) => false,
-    };
     assert!(
         plan.site_count > 0 || plan.body.iter().all(|s| !matches!(s, Stmt::Store { .. })),
         "plan must be finalized"
@@ -677,29 +621,10 @@ fn launch_impl(
     // Optimizer activation is part of the launch identity: effects are
     // byte-identical by contract, but keying the mode keeps a cached effect
     // from ever crossing an optimizer boundary.
-    let opt_on = matches!(eng, Engine::Bytecode | Engine::Native) && opt::opt_enabled();
-    // The native tier compiles from the optimizer's typed lowering; with the
-    // optimizer off or no typed stream (checked below), native launches fall
-    // back to bytecode.
-    let native_k =
-        if native_want && opt_on { plan.engine_cache.get_or_native(prog, plan, cfg.warp_size as usize) } else { None };
-    if native_want {
-        if native_k.is_some() {
-            // Under `auto`, the first launch past the threshold that also
-            // compiled is the promotion event.
-            if sel == EngineSel::Auto && plan.engine_cache.mark_promoted(n_launch) {
-                native::note_promotion();
-            }
-        } else {
-            native::note_ineligible();
-        }
-    }
-    // The effective tier is part of the launch identity (folded into the
-    // key): effects are byte-identical across tiers by contract, but keying
-    // the tier keeps a cached effect from ever crossing a tier boundary.
-    let eff_eng = if native_k.is_some() { Engine::Native } else { eng };
+    let opt_on = eng == Engine::Bytecode && opt::opt_enabled();
+    // The engine is part of the launch identity too, for the same reason.
     let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && !has_tex {
-        Some(build_launch_key(plan, dev, cfg, scal, &extents, eff_eng, opt_on, traced, &arrays))
+        Some(build_launch_key(plan, dev, cfg, scal, &extents, eng, opt_on, traced, &arrays))
     } else {
         None
     };
@@ -709,11 +634,7 @@ fn launch_impl(
                 launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
                 launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
             }
-            let result = replay_effect(&effect, dev, scal, sink, traced);
-            // Replays still feed the hotness cost signal — promotion points
-            // must not depend on whether the cache happened to hit.
-            plan.engine_cache.note_sim_cost(result.cost.time_secs);
-            return result;
+            return replay_effect(&effect, dev, scal, sink, traced);
         }
         launch_cache::note_miss();
     }
@@ -736,17 +657,9 @@ fn launch_impl(
     // accepts; bodies out of scope (e.g. with calls) fall back to the tree
     // walker even when the bytecode engine is selected.
     let opt_k = if opt_on { plan.engine_cache.get_or_optimize(prog, plan) } else { None };
-    let bc = if matches!(eng, Engine::Bytecode | Engine::Native) {
-        plan.engine_cache.get_or_compile(prog, plan)
-    } else {
-        None
-    };
+    let bc = if eng == Engine::Bytecode { plan.engine_cache.get_or_compile(prog, plan) } else { None };
 
     if let Some(bc) = bc {
-        if native_k.is_some() {
-            native::note_native_launch();
-            plan.engine_cache.note_native_launch();
-        }
         // With the optimizer active, the executed stream is the optimized
         // one; metadata (axis/reduction registers, fast sites, pricing
         // flags) is identical between the two by construction.
@@ -843,7 +756,6 @@ fn launch_impl(
             plan,
             bc,
             opt: opt_k.as_deref(),
-            native: native_k.as_deref(),
             cfg,
             site_kinds: &site_kinds,
             views: &views,
@@ -1191,7 +1103,6 @@ fn launch_impl(
     }
 
     let result = LaunchResult { cost, totals, footprint, active_threads };
-    plan.engine_cache.note_sim_cost(result.cost.time_secs);
     if let Some(key) = cache_key {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
@@ -1333,7 +1244,6 @@ fn build_launch_key(
             engine: match eng {
                 Engine::Tree => 0,
                 Engine::Bytecode => 1,
-                Engine::Native => 2,
             },
             opt,
             traced,
@@ -1460,9 +1370,6 @@ struct GridCtx<'a> {
     /// Optimized kernel when `ACCEVAL_OPT` resolved to enabled and the plan
     /// optimized; `bc` then aliases its post-optimization stream.
     opt: Option<&'a opt::OptKernel>,
-    /// Native closure kernel when this launch runs the native tier (forced
-    /// or hotness-promoted); `opt` is always `Some` alongside it.
-    native: Option<&'a native::NativeKernel>,
     cfg: &'a DeviceConfig,
     site_kinds: &'a [SiteKind],
     views: &'a [bytecode::RawBuf],
@@ -1852,46 +1759,23 @@ fn run_block_range(
                 continue;
             }
             out.active_threads += mask.count_ones() as u64;
-            // A pricing-cached block discards its warps' evidence; the
-            // native tier's functional-only variant neither reads nor
-            // writes it, so the evidence resets can be skipped with it.
-            let functional = cached && g.native.is_some() && g.opt.is_some();
-            if functional {
-                scratch.begin_warp_functional(bc, g.base_env);
-            } else {
-                scratch.begin_warp(bc, g.base_env);
-            }
+            scratch.begin_warp(bc, g.base_env);
             // Per-lane prologue: axis variables, scalar-reduction
-            // identities, private-array scratch reset. Functional warps
-            // take their axis values through the typed I bank directly —
-            // the native kernel skips the axis import for them, and nothing
-            // else reads the Value axis rows of a discarded-evidence warp.
+            // identities, private-array scratch reset.
             let a0 = bc.axis_regs[0] as usize;
-            let a1 = if g.plan.axes.len() > 1 { Some(bc.axis_regs[1] as usize) } else { None };
-            if functional {
+            let mut m = mask;
+            while m != 0 {
+                let l = m.trailing_zeros() as usize;
+                m &= m - 1;
+                scratch.regs[a0 * wu + l] = Value::I(ax0[l]);
+            }
+            if g.plan.axes.len() > 1 {
+                let a1 = bc.axis_regs[1] as usize;
                 let mut m = mask;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    scratch.iregs[a0 * wu + l] = ax0[l];
-                    if let Some(a1) = a1 {
-                        scratch.iregs[a1 * wu + l] = ax1[l];
-                    }
-                }
-            } else {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    scratch.regs[a0 * wu + l] = Value::I(ax0[l]);
-                }
-                if let Some(a1) = a1 {
-                    let mut m = mask;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        scratch.regs[a1 * wu + l] = Value::I(ax1[l]);
-                    }
+                    scratch.regs[a1 * wu + l] = Value::I(ax1[l]);
                 }
             }
             for (k, &(_, op, isf)) in g.red_scalar.iter().enumerate() {
@@ -1925,10 +1809,9 @@ fn run_block_range(
             }
             // Execute the warp in lockstep.
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
-            let atomic = match (g.native, g.opt) {
-                (Some(nk), Some(ok)) => native::exec_warp_native(nk, ok, scratch, &ctx, mask, tid_base, !cached),
-                (_, Some(ok)) => opt::exec_warp_opt(ok, scratch, &ctx, mask, tid_base),
-                _ => bytecode::exec_warp(bc, scratch, &ctx, mask, tid_base),
+            let atomic = match g.opt {
+                Some(ok) => opt::exec_warp_opt(ok, scratch, &ctx, mask, tid_base),
+                None => bytecode::exec_warp(bc, scratch, &ctx, mask, tid_base),
             };
             // Fold reductions in ascending lane order — the same combine
             // sequence the tree path produces (journaled chunks replay it

@@ -244,8 +244,7 @@ pub struct LaunchKey {
     pub shared_bytes: u32,
     /// Registers per thread (occupancy input).
     pub regs: u32,
-    /// Effective executing tier (tree = 0, bytecode = 1, native = 2; an
-    /// `auto` launch keys the tier it resolved to). The tiers are
+    /// Executing engine (tree = 0, bytecode = 1). The engines are
     /// bit-identical by contract, but keeping entries separate costs one
     /// duplicate capture and buys independence from that contract.
     pub engine: u8,

@@ -6,14 +6,12 @@
 //! expansion layout, and memory-space placements. The GPU executor
 //! ([`crate::interp::gpu`]) runs plans functionally and prices them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::expr::Expr;
 use crate::interp::bytecode::{compile, KernelBytecode};
-use crate::interp::native::{compile_native, NativeKernel};
 use crate::interp::opt::{note_opt, optimize, OptKernel, OptStats};
 use crate::program::Program;
 use crate::stmt::Stmt;
@@ -164,19 +162,6 @@ pub struct EngineCache {
     /// contract: valid across clones because geometry retargeting never
     /// touches the fingerprinted fields.
     fp: Arc<OnceLock<u128>>,
-    /// Native-tier compilation, layered on the optimized stream. `None`
-    /// inside the lock when the plan is ineligible (no typed lowering, or
-    /// the first native launch used an unsupported warp width).
-    native: Arc<OnceLock<Option<Arc<NativeKernel>>>>,
-    /// Launches of this plan (all tiers) — the `auto` hotness launch count.
-    launches: Arc<AtomicU64>,
-    /// Accumulated trace-attributed simulated cost, in microseconds — the
-    /// `auto` hotness cost signal.
-    sim_us: Arc<AtomicU64>,
-    /// Launches of this plan that executed through the native tier.
-    native_launches: Arc<AtomicU64>,
-    /// The launch ordinal at which `auto` first promoted this plan.
-    promoted_at: Arc<OnceLock<u64>>,
 }
 
 impl EngineCache {
@@ -213,69 +198,6 @@ impl EngineCache {
     /// Optimizer statistics, if the optimized stream has been built.
     pub fn opt_stats(&self) -> Option<OptStats> {
         self.opt.get().and_then(|o| o.as_ref().map(|ok| ok.stats.clone()))
-    }
-
-    /// The native-tier kernel for `plan` at warp width `warp`, compiling on
-    /// first use. `None` when the plan has no typed lowering (optimizer
-    /// bailed or body ineligible) or `warp` doesn't match the width the
-    /// first native launch compiled for — callers fall back to bytecode.
-    pub fn get_or_native(&self, prog: &Program, plan: &KernelPlan, warp: usize) -> Option<Arc<NativeKernel>> {
-        let ok = self.get_or_optimize(prog, plan);
-        let nk = self.native.get_or_init(|| compile_native(ok.as_ref()?, warp).map(Arc::new)).clone()?;
-        (nk.warp == warp).then_some(nk)
-    }
-
-    /// The compiled native kernel, if the native tier has been entered.
-    pub fn native_kernel(&self) -> Option<Arc<NativeKernel>> {
-        self.native.get().and_then(Clone::clone)
-    }
-
-    /// Count a launch of this plan; returns the 1-based launch ordinal.
-    pub fn note_launch(&self) -> u64 {
-        self.launches.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Launches of this plan so far (all tiers).
-    pub fn launches(&self) -> u64 {
-        self.launches.load(Ordering::Relaxed)
-    }
-
-    /// Fold a launch's trace-attributed simulated cost into the hotness
-    /// accumulator.
-    pub fn note_sim_cost(&self, time_secs: f64) {
-        let us = (time_secs * 1e6) as u64;
-        self.sim_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Accumulated simulated cost of this plan's launches, in microseconds.
-    pub fn sim_us(&self) -> u64 {
-        self.sim_us.load(Ordering::Relaxed)
-    }
-
-    /// Count a launch that executed through the native tier.
-    pub fn note_native_launch(&self) {
-        self.native_launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Launches of this plan that executed natively.
-    pub fn native_launches(&self) -> u64 {
-        self.native_launches.load(Ordering::Relaxed)
-    }
-
-    /// Record the launch ordinal of the first `auto` promotion. Returns
-    /// `true` exactly once — the caller counts that as the promotion event.
-    pub fn mark_promoted(&self, at_launch: u64) -> bool {
-        let mut first = false;
-        self.promoted_at.get_or_init(|| {
-            first = true;
-            at_launch
-        });
-        first
-    }
-
-    /// The launch ordinal at which `auto` promoted this plan, if it has.
-    pub fn promoted_at(&self) -> Option<u64> {
-        self.promoted_at.get().copied()
     }
 
     /// 128-bit fingerprint of `plan`'s geometry-*invariant* identity: name,

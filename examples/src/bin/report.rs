@@ -58,12 +58,14 @@ environment:
   ACCEVAL_STORE_EPOCH=<label>        override the build-epoch invalidation tag
   ACCEVAL_OPT=auto|on|off            bytecode optimizer (results are identical
                                      either way; off is for perf comparison)
-  ACCEVAL_ENGINE=tree|bytecode|native|auto
-                                     kernel engine tier; auto starts on the
-                                     bytecode VM and promotes hot plans to
-                                     native closures (results are identical)
-  ACCEVAL_NATIVE_THRESHOLD=<n>       auto promotes a plan after n launches
-                                     (default 8)";
+  ACCEVAL_ENGINE=tree|bytecode       kernel engine: the reference tree walker
+                                     or the bytecode VM (default; results are
+                                     identical)
+  ACCEVAL_LAUNCH_PAR=auto|on|off     block-parallel kernel launches (auto: on
+                                     outside a sweep and on a sweep's task tail)
+  ACCEVAL_LAUNCH_CACHE=auto|on|off   in-memory launch-result memoization
+  ACCEVAL_LAUNCH_CACHE_CAP_MB=<n>    memory cap for the launch cache
+                                     (default 512)";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -308,49 +310,6 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
         println!("  (no optimized kernels: optimizer off, tree engine, or no bytecode-eligible plans)");
     }
 
-    // Per-kernel engine-tier attribution: which tier each plan's launches
-    // ran on, where `auto` promoted it, and what the one-time native
-    // compile cost. Reads the same shared engine caches as the table above.
-    println!("engine tiers ({}):", acceval::ir::interp::gpu::engine_name());
-    let mut region_ids: Vec<u32> = compiled.kernels.keys().copied().collect();
-    region_ids.sort_unstable();
-    let mut any = false;
-    for rid in region_ids {
-        for plan in &compiled.kernels[&rid] {
-            let launches = plan.engine_cache.launches();
-            if launches == 0 {
-                continue;
-            }
-            any = true;
-            let native = plan.engine_cache.native_launches();
-            let promoted = match plan.engine_cache.promoted_at() {
-                Some(n) => format!("promoted at launch {n}"),
-                None if native > 0 => "forced native".to_string(),
-                None => "never promoted".to_string(),
-            };
-            let compile = match plan.engine_cache.native_kernel() {
-                Some(nk) => format!("compile {:.1}us", nk.compile_nanos as f64 / 1e3),
-                None => "not compiled".to_string(),
-            };
-            println!(
-                "  {:<28} {:>4} launches  {:>4} native / {:<4} bytecode-or-tree  {:<22} {}",
-                plan.name,
-                launches,
-                native,
-                launches - native,
-                promoted,
-                compile,
-            );
-        }
-    }
-    if !any {
-        println!("  (no launches recorded)");
-    }
-    let (nk, nnanos, nl, np, ni) = acceval::ir::interp::native::native_totals();
-    println!(
-        "  totals: {nk} native kernel(s) compiled in {:.1}us, {nl} native launch(es), {np} promotion(s), {ni} ineligible",
-        nnanos as f64 / 1e3
-    );
     println!();
     println!(
         "speedup {:.2}x over serial CPU ({:.6}s / {:.6}s), validation {}",
@@ -372,4 +331,16 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
 
 fn serde_json_string(fig: &acceval::figures::Figure1) -> String {
     acceval::figures_json(fig)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+
+    #[test]
+    fn usage_documents_every_known_env_var() {
+        for var in acceval::ir::env::KNOWN_VARS {
+            assert!(USAGE.contains(&format!("{var}=")), "usage text omits {var}");
+        }
+    }
 }
