@@ -2,10 +2,14 @@
 //! (empty cache — every launch executes and captures) versus warm (every
 //! launch replays its captured effect).
 //!
-//! Beyond the criterion numbers, the bench asserts the cache's reason to
-//! exist: at least a 2x speedup warm-over-cold on this subset. Results are
-//! bit-identical either way (the equivalence suites enforce that); this
-//! gate guards the speed.
+//! Beyond the criterion numbers, the bench asserts two gates. The cache's
+//! reason to exist: at least a 2x speedup warm-over-cold on this subset.
+//! Its price: a first pass over NW's default-point tasks from an empty cache
+//! (every launch misses and captures) may take at most 1.5x the same pass
+//! with the cache off. NW writes one anti-diagonal of a 263k-element score
+//! buffer per launch, so capture must cost what a launch stores, not what
+//! the buffer holds. Results are bit-identical either way (the equivalence
+//! suites enforce that); these gates guard the speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,6 +20,7 @@ use acceval::ir::interp::gpu::{env_from_dataset, launch, upload_all, DeviceState
 use acceval::ir::interp::launch_cache::{clear_launch_cache, set_launch_cache_override, LaunchCache};
 use acceval::ir::program::HostData;
 use acceval::models::{model, ModelKind, TuningPoint};
+use acceval::run_gpu_program;
 use acceval::sim::MachineConfig;
 use acceval::sweep::{cached_compile, cached_dataset};
 
@@ -64,8 +69,52 @@ fn sweep_pass(b: &dyn Benchmark, tasks: &[(ModelKind, Option<TuningPoint>)], cfg
     t0.elapsed().as_secs_f64()
 }
 
+/// Seconds for one pass over NW's Figure 1 models at their default points:
+/// each task's whole program run at paper scale (one launch per
+/// anti-diagonal). Compiles and the dataset are memoized outside the timed
+/// region.
+fn nw_pass(b: &dyn Benchmark, cfg: &MachineConfig) -> f64 {
+    let ds = cached_dataset(b, Scale::Paper);
+    let compiled: Vec<_> =
+        ModelKind::figure1_models().into_iter().map(|kind| cached_compile(b, kind, Scale::Paper, None)).collect();
+    let t0 = Instant::now();
+    for c in &compiled {
+        black_box(run_gpu_program(c, &ds, cfg).expect("NW runs"));
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// The capture-overhead gate: best-of-3 first passes over NW from an empty
+/// cache with the cache on, against the same pass with the cache off.
+fn capture_overhead_gate(cfg: &MachineConfig) {
+    let nw = benchmark_named("NW");
+    set_launch_cache_override(Some(LaunchCache::Off));
+    let _ = nw_pass(nw.as_ref(), cfg); // memoize compiles and the dataset
+    let best_of_3 = |policy| {
+        set_launch_cache_override(Some(policy));
+        (0..3)
+            .map(|_| {
+                clear_launch_cache();
+                nw_pass(nw.as_ref(), cfg)
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    let off = best_of_3(LaunchCache::Off);
+    let on = best_of_3(LaunchCache::On);
+    clear_launch_cache();
+    let ratio = on / off;
+    println!("NW default points, first pass (paper scale): cache off {off:.4}s, cache on from empty {on:.4}s");
+    println!("launch-cache capture overhead: {ratio:.2}x");
+    assert!(
+        ratio <= 1.5,
+        "a first NW pass from an empty launch cache must take <= 1.5x the cache-off pass, \
+         got {ratio:.2}x (on {on:.4}s vs off {off:.4}s)"
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let cfg = MachineConfig::keeneland_node();
+    capture_overhead_gate(&cfg);
     let b = benchmark_named("JACOBI");
     let tasks = tuning_subset();
     set_launch_cache_override(Some(LaunchCache::On));

@@ -43,6 +43,7 @@ use acceval_sim::{AffineRowMemo, Buffer, ElemType, Payload, SiteWarpTrace};
 
 use crate::analysis::affine::expr_affine;
 use crate::expr::{BinOp, Expr, Intrin, UnOp};
+use crate::interp::launch_cache::StoreJournal;
 use crate::interp::{eval_bin, eval_intrin};
 use crate::kernel::{Expansion, KernelPlan, MemSpace};
 use crate::program::Program;
@@ -1127,6 +1128,22 @@ impl RawBuf {
         }
     }
 
+    /// Raw bits of an element (mirroring [`Buffer::bits`]).
+    #[inline]
+    pub(crate) fn bits(&self, idx: usize) -> u64 {
+        self.check(idx);
+        // SAFETY: `check` bounds `idx` by the payload length, and the
+        // pointer is the live payload of an allocated buffer; concurrent
+        // chunks never write an element another chunk reads (see the type).
+        unsafe {
+            if self.f.is_null() {
+                *self.i.add(idx) as u64
+            } else {
+                (*self.f.add(idx)).to_bits()
+            }
+        }
+    }
+
     /// Write an f64 (integer payloads cast, mirroring [`Buffer::set_f`]).
     #[inline]
     pub(crate) fn set_f(&self, idx: usize, x: f64) {
@@ -1172,9 +1189,17 @@ pub(crate) struct ExecCtx<'a> {
 use super::gpu::PRIV_BASE;
 
 /// Execute the compiled body for one warp. `mask` holds the active lanes,
-/// `tid_base` is the linear thread id of lane 0. Returns the number of
-/// atomic accesses performed inside critical sections.
-pub(crate) fn exec_warp(bc: &KernelBytecode, s: &mut WarpScratch, ctx: &ExecCtx<'_>, mask: u64, tid_base: u64) -> u64 {
+/// `tid_base` is the linear thread id of lane 0; device stores are logged
+/// into `journal` when it is on. Returns the number of atomic accesses
+/// performed inside critical sections.
+pub(crate) fn exec_warp(
+    bc: &KernelBytecode,
+    s: &mut WarpScratch,
+    ctx: &ExecCtx<'_>,
+    mask: u64,
+    tid_base: u64,
+    journal: &mut StoreJournal,
+) -> u64 {
     let warp = s.warp;
     let mut vm = Vm {
         code: &bc.code,
@@ -1190,6 +1215,7 @@ pub(crate) fn exec_warp(bc: &KernelBytecode, s: &mut WarpScratch, ctx: &ExecCtx<
         in_critical: false,
         atomic: 0,
         priv_bufs: &mut s.priv_bufs,
+        journal,
     };
     if bc.serial_lanes {
         // Hazardous bodies: run each lane to completion in ascending lane
@@ -1221,6 +1247,7 @@ struct Vm<'a, 'b> {
     tid_base: u64,
     in_critical: bool,
     atomic: u64,
+    journal: &'a mut StoreJournal,
 }
 
 /// All-lanes-active mask for a `w`-lane warp.
@@ -1476,6 +1503,7 @@ impl Vm<'_, '_> {
                             panic!("kernel write of unallocated device array {a}");
                         }
                         let isf = buf.elem_is_float();
+                        let journaling = self.journal.on();
                         let wu = self.w;
                         let fo = fast as usize * wu;
                         let so = src as usize * wu;
@@ -1485,11 +1513,15 @@ impl Vm<'_, '_> {
                                 lanes!(wu, mask, l, {
                                     let flat = $flat_of(l);
                                     self.fast_rows[fo + l] = base + flat as u64 * eb;
+                                    let old = journaling.then(|| buf.bits(flat));
                                     let v = self.regs[so + l];
                                     if isf {
                                         buf.set_f(flat, v.as_f());
                                     } else {
                                         buf.set_i(flat, v.as_i());
+                                    }
+                                    if let Some(old) = old {
+                                        self.journal.record(a, flat, old, buf.bits(flat));
                                     }
                                 });
                             };
@@ -1752,10 +1784,14 @@ impl Vm<'_, '_> {
             if !b.is_alloc() {
                 panic!("kernel write of unallocated device array {a}");
             }
+            let old = self.journal.on().then(|| b.bits(flat));
             if b.elem_is_float() {
                 b.set_f(flat, v.as_f());
             } else {
                 b.set_i(flat, v.as_i());
+            }
+            if let Some(old) = old {
+                self.journal.record(a, flat, old, b.bits(flat));
             }
         }
     }

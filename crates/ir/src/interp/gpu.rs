@@ -23,7 +23,7 @@ use acceval_sim::{
 
 use crate::expr::{Expr, Intrin};
 use crate::interp::bytecode::{self, intrin_cost};
-use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey};
+use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey, StoreJournal};
 use crate::interp::opt;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
@@ -203,6 +203,9 @@ pub struct DeviceState {
     pub tex_cache: Cache,
     /// Generation tags, parallel to `bufs`.
     pub tags: Vec<BufGen>,
+    /// The last device configuration a launch key folded, with its
+    /// [`DeviceConfig::config_digest`], so keys skip re-formatting it.
+    cfg_digest: Option<(DeviceConfig, u64)>,
 }
 
 impl DeviceState {
@@ -212,6 +215,20 @@ impl DeviceState {
             bufs: vec![None; prog.arrays.len()],
             tex_cache: Cache::new(cfg.tex_cache_bytes * cfg.num_sms, 8, cfg.tex_line_bytes),
             tags: vec![BufGen::new(); prog.arrays.len()],
+            cfg_digest: None,
+        }
+    }
+
+    /// [`DeviceConfig::config_digest`] of `cfg`, memoized while launches
+    /// keep using the same configuration.
+    fn config_digest(&mut self, cfg: &DeviceConfig) -> u64 {
+        match &self.cfg_digest {
+            Some((c, d)) if c == cfg => *d,
+            _ => {
+                let d = cfg.config_digest();
+                self.cfg_digest = Some((cfg.clone(), d));
+                d
+            }
         }
     }
 
@@ -253,7 +270,7 @@ impl DeviceState {
         match &mut self.bufs[i] {
             Some(b) if b.elem == host.elem && b.len() == host.len() => {
                 if self.tags[i].memoized().is_some() {
-                    let zd = launch_cache::timed_digest(|| acceval_sim::zero_digest(host.elem, host.len()));
+                    let zd = acceval_sim::zero_digest(host.elem, host.len());
                     if self.tags[i].memoized() == Some(zd) {
                         return;
                     }
@@ -323,6 +340,7 @@ fn classify_sites(plan: &KernelPlan) -> Vec<SiteKind> {
 /// Per-warp machine: executes one lane at a time, recording traces.
 struct WarpMachine<'a> {
     dev: &'a mut DeviceState,
+    journal: &'a mut StoreJournal,
     plan: &'a KernelPlan,
     /// Byte base address per array in the simulated device address space.
     base: &'a [u64],
@@ -396,17 +414,22 @@ impl Machine for WarpMachine<'_> {
 
     fn store(&mut self, array: ArrayId, flat: usize, v: Value, site: SiteId) {
         self.account(array, flat, site);
-        let b = if self.plan.expansion_of(array).is_some() {
-            self.priv_bufs.get_mut(&array).expect("private buffer")
-        } else {
+        let device = self.plan.expansion_of(array).is_none();
+        let b = if device {
             self.dev.bufs[array.0 as usize]
                 .as_mut()
                 .unwrap_or_else(|| panic!("kernel write of unallocated device array {}", array.0))
+        } else {
+            self.priv_bufs.get_mut(&array).expect("private buffer")
         };
+        let old = (device && self.journal.on()).then(|| b.bits(flat));
         if b.elem.is_float() {
             b.set_f(flat, v.as_f());
         } else {
             b.set_i(flat, v.as_i());
+        }
+        if let Some(old) = old {
+            self.journal.record(array.0 as usize, flat, old, b.bits(flat));
         }
     }
 
@@ -638,13 +661,25 @@ fn launch_impl(
         }
         launch_cache::note_miss();
     }
-    // Pre-launch contents of the write set, diffed into deltas on capture.
-    let pre_writes: Vec<(usize, Option<Buffer>)> = if cache_key.is_some() {
-        arrays.writes.iter().map(|&i| (i, dev.bufs[i].clone())).collect()
-    } else {
-        Vec::new()
-    };
+    // A capturing launch journals its device stores (array-reduction
+    // targets are combined outside the store paths and captured densely).
+    // Write targets are in the read set, so the key memoized their
+    // pre-launch digests; capture updates those from the journal.
     let capturing = cache_key.is_some();
+    let mut journal = if capturing {
+        StoreJournal::new(
+            dev.bufs.len(),
+            arrays
+                .writes
+                .iter()
+                .filter(|&&i| !red_arrays.iter().any(|(a, _)| a.0 as usize == i))
+                .filter_map(|&i| dev.bufs[i].as_ref().map(|b| (i, b.len()))),
+        )
+    } else {
+        StoreJournal::off()
+    };
+    let pre_digests: Vec<Option<u128>> =
+        if capturing { arrays.writes.iter().map(|&i| dev.tags[i].memoized()).collect() } else { Vec::new() };
     let mut captured_events: Vec<TraceEvent> = Vec::new();
 
     let warp = cfg.warp_size;
@@ -791,7 +826,7 @@ fn launch_impl(
         };
         if workers <= 1 {
             // Serial block walk (also the reference for the parallel fold).
-            let mut out = ChunkOut::new(plan.site_count as usize, traced);
+            let mut out = ChunkOut::new(plan.site_count as usize, traced, journal.fresh());
             bytecode::with_scratch(|scratch| {
                 let mut sink = RedSink::Direct { scal: &mut scal_acc, arrs: &mut arr_acc };
                 run_block_range(&g, 0..total_blocks, scratch, tex_cache, &mut sink, &mut out);
@@ -804,6 +839,7 @@ fn launch_impl(
                 &mut site_shared,
                 &mut scal_acc,
                 &red_scalar,
+                &mut journal,
             );
         } else {
             // Deterministic contiguous chunks, one scoped worker each. The
@@ -824,11 +860,12 @@ fn launch_impl(
                 let handles: Vec<_> = ranges
                     .into_iter()
                     .map(|r| {
+                        let chunk_journal = journal.fresh();
                         scope.spawn(move || {
                             // Texture sites are ineligible for parallel
                             // launches, so this cache is never consulted.
                             let mut tex = Cache::new(g.cfg.tex_line_bytes, 1, g.cfg.tex_line_bytes);
-                            let mut out = ChunkOut::new(g.plan.site_count as usize, g.traced);
+                            let mut out = ChunkOut::new(g.plan.site_count as usize, g.traced, chunk_journal);
                             bytecode::with_scratch(|scratch| {
                                 run_block_range(g, r, scratch, &mut tex, &mut RedSink::Journal, &mut out);
                             });
@@ -847,6 +884,7 @@ fn launch_impl(
                     &mut site_shared,
                     &mut scal_acc,
                     &red_scalar,
+                    &mut journal,
                 );
             }
         }
@@ -858,6 +896,7 @@ fn launch_impl(
             for w in 0..warps_per_block {
                 let wm = WarpMachine {
                     dev,
+                    journal: &mut journal,
                     plan,
                     base: &base,
                     elem_bytes: &elem_bytes,
@@ -1106,14 +1145,19 @@ fn launch_impl(
     if let Some(key) = cache_key {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
-        // writebacks, the result, and the trace-event slice.
-        let mut outputs: Vec<(u32, ArrayOut, u128)> = Vec::with_capacity(pre_writes.len());
+        // writebacks, the result, and the trace-event slice. Journaled
+        // arrays capture from their store log; overflowed ones, reduction
+        // targets and any array without a pre-launch digest are copied
+        // whole and re-hashed.
+        let mut outputs: Vec<(u32, ArrayOut, u128)> = Vec::with_capacity(arrays.writes.len());
         launch_cache::timed_digest(|| {
-            for (i, pre) in &pre_writes {
-                let Some(post) = dev.bufs[*i].as_ref() else { continue };
-                let (out, d) = diff_and_digest(pre.as_ref(), post);
-                dev.tags[*i].prime(d);
-                outputs.push((*i as u32, out, d));
+            for (&i, pre) in arrays.writes.iter().zip(&pre_digests) {
+                let Some(post) = dev.bufs[i].as_ref() else { continue };
+                let journaled = pre.and_then(|d| journal.capture(i, d, post));
+                let (out, d) = journaled
+                    .unwrap_or_else(|| (ArrayOut::Full(std::sync::Arc::new(post.clone())), post.content_digest()));
+                dev.tags[i].prime(d);
+                outputs.push((i as u32, out, d));
             }
         });
         let scalar_writes: Vec<(usize, Value)> = red_scalar.iter().map(|&(slot, _, _)| (slot, scal[slot])).collect();
@@ -1168,17 +1212,6 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
     BodyArrays { reads, writes, opaque }
 }
 
-/// Fold a debug representation into a digest, 8 bytes at a time.
-fn fold_str(d: &mut Digest128, s: &str) {
-    let bytes = s.as_bytes();
-    d.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(w));
-    }
-}
-
 /// Assemble the content-addressed key of this launch. Buffer digests go
 /// through the generation memos, so a steady-state probe hashes nothing but
 /// the (small) config/layout/scalar material.
@@ -1196,8 +1229,7 @@ fn build_launch_key(
 ) -> LaunchKey {
     launch_cache::timed_digest(|| {
         let plan_fp = plan.engine_cache.fingerprint(plan);
-        let mut cfgd = Digest128::new();
-        fold_str(&mut cfgd, &format!("{cfg:?}"));
+        let cfg_digest = dev.config_digest(cfg);
         // Address layout: the device base of every array depends on the
         // allocation state, length, and element size of all the arrays
         // before it; extents additionally pin index linearisation.
@@ -1247,8 +1279,11 @@ fn build_launch_key(
             },
             opt,
             traced,
-            cfg_digest: (cfgd.finish() >> 64) as u64 ^ cfgd.finish() as u64,
-            layout_digest: (lay.finish() >> 64) as u64 ^ lay.finish() as u64,
+            cfg_digest,
+            layout_digest: {
+                let lay = lay.finish();
+                (lay >> 64) as u64 ^ lay as u64
+            },
             scalars,
             inputs,
         }
@@ -1300,64 +1335,6 @@ fn replay_effect(
         }
     }
     effect.result.clone()
-}
-
-/// Delta between pre- and post-launch contents of one buffer (sparse when at
-/// most a quarter of the elements changed, dense otherwise) fused with the
-/// post buffer's content digest, so capture walks each written buffer once
-/// instead of diffing and hashing in separate passes. The digest folds the
-/// same header and element bits as [`Buffer::content_digest`], so priming a
-/// generation memo with it is indistinguishable from re-hashing.
-fn diff_and_digest(pre: Option<&Buffer>, post: &Buffer) -> (ArrayOut, u128) {
-    let n = post.len();
-    let comparable = n <= u32::MAX as usize && matches!(pre, Some(p) if p.elem == post.elem && p.len() == n);
-    let cap = n / 4 + 1;
-    let mut d = post.digest_header();
-    let mut writes: Vec<(u32, u64)> = Vec::new();
-    let mut fits = comparable;
-    match (&post.data, pre.map(|p| &p.data)) {
-        (Payload::F(b), Some(Payload::F(a))) if comparable => {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                let bits = y.to_bits();
-                d.push(bits);
-                if fits && x.to_bits() != bits {
-                    if writes.len() >= cap {
-                        // Delta too dense for the sparse form: stop collecting
-                        // but keep folding the digest to finish the pass.
-                        fits = false;
-                    } else {
-                        writes.push((i as u32, bits));
-                    }
-                }
-            }
-        }
-        (Payload::I(b), Some(Payload::I(a))) if comparable => {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                d.push(*y as u64);
-                if fits && x != y {
-                    if writes.len() >= cap {
-                        fits = false;
-                    } else {
-                        writes.push((i as u32, *y as u64));
-                    }
-                }
-            }
-        }
-        (Payload::F(b), _) => {
-            fits = false;
-            for y in b {
-                d.push(y.to_bits());
-            }
-        }
-        (Payload::I(b), _) => {
-            fits = false;
-            for y in b {
-                d.push(*y as u64);
-            }
-        }
-    }
-    let out = if fits { ArrayOut::Sparse(writes) } else { ArrayOut::Full(std::sync::Arc::new(post.clone())) };
-    (out, d.finish())
 }
 
 /// Launch-wide immutable context shared by every block-chunk executor of
@@ -1428,17 +1405,20 @@ struct ChunkOut {
     issue: Vec<f64>,
     /// Scalar-reduction journal (see [`RedSink::Journal`]).
     red_journal: Vec<Value>,
+    /// This chunk's device-store journal (recording only when capturing).
+    stores: StoreJournal,
     site_global: Vec<AccessSummary>,
     site_shared: Vec<SharedSummary>,
 }
 
 impl ChunkOut {
-    fn new(site_count: usize, traced: bool) -> ChunkOut {
+    fn new(site_count: usize, traced: bool, stores: StoreJournal) -> ChunkOut {
         ChunkOut {
             totals: KernelTotals::default(),
             active_threads: 0,
             issue: Vec::new(),
             red_journal: Vec::new(),
+            stores,
             site_global: if traced { vec![AccessSummary::default(); site_count] } else { Vec::new() },
             site_shared: if traced { vec![SharedSummary::default(); site_count] } else { Vec::new() },
         }
@@ -1633,7 +1613,9 @@ impl BlockPricing {
 /// (chunk) order: u64 counters and per-site summaries merge associatively,
 /// while the f64 issue-cycle increments and the scalar-reduction journal
 /// replay serially so every order-sensitive fold reproduces the serial
-/// path bit-for-bit.
+/// path bit-for-bit. Store journals concatenate in the same order; chunks
+/// write disjoint elements (`par_blocks_ok`), so each element's first
+/// logged value is its pre-launch value either way.
 #[allow(clippy::too_many_arguments)]
 fn fold_chunk(
     out: ChunkOut,
@@ -1643,8 +1625,12 @@ fn fold_chunk(
     site_shared: &mut [SharedSummary],
     scal_acc: &mut [Value],
     red_scalar: &[(usize, crate::types::ReduceOp, bool)],
+    stores: &mut StoreJournal,
 ) {
     debug_assert!(out.totals.issue_cycles == 0.0, "issue cycles travel via the per-warp journal");
+    if stores.on() {
+        launch_cache::timed_digest(|| stores.absorb(out.stores));
+    }
     totals.warps += out.totals.warps;
     totals.global_requests += out.totals.global_requests;
     totals.global_transactions += out.totals.global_transactions;
@@ -1810,8 +1796,8 @@ fn run_block_range(
             // Execute the warp in lockstep.
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
             let atomic = match g.opt {
-                Some(ok) => opt::exec_warp_opt(ok, scratch, &ctx, mask, tid_base),
-                None => bytecode::exec_warp(bc, scratch, &ctx, mask, tid_base),
+                Some(ok) => opt::exec_warp_opt(ok, scratch, &ctx, mask, tid_base, &mut out.stores),
+                None => bytecode::exec_warp(bc, scratch, &ctx, mask, tid_base, &mut out.stores),
             };
             // Fold reductions in ascending lane order — the same combine
             // sequence the tree path produces (journaled chunks replay it

@@ -315,6 +315,135 @@ impl LaunchEffect {
     }
 }
 
+// ---- store journal ---------------------------------------------------------
+
+/// Log of the device-array stores one executor made during a launch that
+/// will capture its effect: per array, the first store that changed each
+/// element, as (flat index, pre-launch bits), in execution order. Stores
+/// that leave an element's bits unchanged are not logged, and later stores
+/// to a logged element add nothing, so the log holds every element the
+/// launch changed at some point, each once, with its pre-launch bits.
+/// Capture derives the sparse delta and the post-launch digest from it, so
+/// its cost scales with what the launch changed rather than with the size
+/// of the buffers it wrote into.
+///
+/// Each array logs at most `n / 4 + 1` elements (the sparse-delta cap);
+/// past that it *overflows* and stops logging, and capture falls back to a
+/// dense copy plus a full re-hash. A journal built with
+/// [`StoreJournal::off`] records nothing: launches that will not capture
+/// pay one predictable branch per store.
+#[derive(Debug, Default)]
+pub(crate) struct StoreJournal {
+    arrays: Vec<ArrayLog>,
+}
+
+/// One array's part of a [`StoreJournal`].
+#[derive(Debug, Default, Clone)]
+struct ArrayLog {
+    /// Most elements logged before overflowing; 0 when not journaled.
+    cap: usize,
+    /// Element count (the size of `logged`).
+    len: usize,
+    /// Bitmap of the logged elements, allocated on the first record.
+    logged: Vec<u64>,
+    log: Vec<(u32, u64)>,
+    overflow: bool,
+}
+
+impl StoreJournal {
+    /// A journal that records nothing.
+    pub(crate) fn off() -> StoreJournal {
+        StoreJournal::default()
+    }
+
+    /// A journal over `journaled` (array index, length) pairs; every other
+    /// array of the program (`arrays` in total) is left out.
+    pub(crate) fn new(arrays: usize, journaled: impl IntoIterator<Item = (usize, usize)>) -> StoreJournal {
+        let mut j = StoreJournal { arrays: vec![ArrayLog::default(); arrays] };
+        for (i, len) in journaled {
+            // The sparse-delta cap; flat indices are logged as u32, so
+            // larger arrays go dense.
+            let cap = if len <= u32::MAX as usize { len / 4 + 1 } else { 0 };
+            j.arrays[i] = ArrayLog { cap, len, ..ArrayLog::default() };
+        }
+        j
+    }
+
+    /// An empty journal over the same arrays and caps (one per chunk).
+    pub(crate) fn fresh(&self) -> StoreJournal {
+        let arrays = self.arrays.iter().map(|x| ArrayLog { cap: x.cap, len: x.len, ..ArrayLog::default() }).collect();
+        StoreJournal { arrays }
+    }
+
+    /// Whether stores should be recorded at all.
+    #[inline]
+    pub(crate) fn on(&self) -> bool {
+        !self.arrays.is_empty()
+    }
+
+    /// Record a store that turned element `flat` of array `a` from `old`
+    /// bits into `new` bits. Callers check [`StoreJournal::on`] first.
+    #[inline]
+    pub(crate) fn record(&mut self, a: usize, flat: usize, old: u64, new: u64) {
+        let x = &mut self.arrays[a];
+        if old == new || x.overflow {
+            return;
+        }
+        if x.cap == 0 {
+            x.overflow = true;
+            return;
+        }
+        if x.logged.is_empty() {
+            x.logged = vec![0; x.len.div_ceil(64)];
+        }
+        let (word, bit) = (flat / 64, 1u64 << (flat % 64));
+        if x.logged[word] & bit != 0 {
+            return;
+        }
+        if x.log.len() == x.cap {
+            x.overflow = true;
+            return;
+        }
+        x.logged[word] |= bit;
+        x.log.push((flat as u32, old));
+    }
+
+    /// Append a later chunk's journal (chunks fold in block order and
+    /// write disjoint elements).
+    pub(crate) fn absorb(&mut self, later: StoreJournal) {
+        for (x, y) in self.arrays.iter_mut().zip(later.arrays) {
+            if y.overflow || x.log.len() + y.log.len() > x.cap {
+                x.overflow = true;
+            } else {
+                x.log.extend(y.log);
+            }
+        }
+    }
+
+    /// Capture array `a`'s output from its journal: the sparse delta
+    /// against the pre-launch contents (ascending flat order, elements
+    /// restored to their pre-launch bits dropped) and the post-launch
+    /// digest, updated from `pre_digest`. `None` when the array overflowed
+    /// or was not journaled; the caller then captures densely.
+    pub(crate) fn capture(&mut self, a: usize, pre_digest: u128, post: &Buffer) -> Option<(ArrayOut, u128)> {
+        let x = &mut self.arrays[a];
+        if x.overflow || x.cap == 0 {
+            return None;
+        }
+        x.log.sort_unstable_by_key(|&(flat, _)| flat);
+        let mut d = pre_digest;
+        let mut writes = Vec::new();
+        for &(flat, old) in &x.log {
+            let new = post.bits(flat as usize);
+            if new != old {
+                d = acceval_sim::digest_update(d, flat as usize, old, new);
+                writes.push((flat, new));
+            }
+        }
+        Some((ArrayOut::Sparse(writes), d))
+    }
+}
+
 // ---- the store -------------------------------------------------------------
 
 struct Slot {

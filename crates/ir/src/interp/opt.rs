@@ -49,6 +49,7 @@ use std::sync::OnceLock;
 use crate::analysis::affine::{Aff, AffBase};
 use crate::env::Toggle;
 use crate::expr::{BinOp, Intrin, UnOp};
+use crate::interp::launch_cache::StoreJournal;
 use crate::interp::{eval_bin, eval_intrin};
 use crate::kernel::Expansion;
 use crate::program::Program;
@@ -2554,10 +2555,18 @@ pub(crate) fn begin_launch_opt(
 
 /// Execute one warp through the optimized kernel: the typed VM when the
 /// lowering succeeded, the plain VM over the optimized untyped stream
-/// otherwise. Returns the critical-section atomic count, like `exec_warp`.
-pub(crate) fn exec_warp_opt(ok: &OptKernel, s: &mut WarpScratch, ctx: &ExecCtx<'_>, mask: u64, tid_base: u64) -> u64 {
+/// otherwise. Returns the critical-section atomic count and logs device
+/// stores into `journal`, like `exec_warp`.
+pub(crate) fn exec_warp_opt(
+    ok: &OptKernel,
+    s: &mut WarpScratch,
+    ctx: &ExecCtx<'_>,
+    mask: u64,
+    tid_base: u64,
+    journal: &mut StoreJournal,
+) -> u64 {
     let Some(t) = &ok.typed else {
-        return exec_warp(&ok.bc, s, ctx, mask, tid_base);
+        return exec_warp(&ok.bc, s, ctx, mask, tid_base, journal);
     };
     let warp = s.warp;
     // Per-warp state enters the banks here: `begin_warp` re-broadcast the
@@ -2590,6 +2599,7 @@ pub(crate) fn exec_warp_opt(ok: &OptKernel, s: &mut WarpScratch, ctx: &ExecCtx<'
         tid_base,
         in_critical: false,
         atomic: 0,
+        journal,
     };
     if ok.bc.serial_lanes {
         let mut m = mask;
@@ -2636,6 +2646,7 @@ struct TVm<'a, 'b> {
     tid_base: u64,
     in_critical: bool,
     atomic: u64,
+    journal: &'a mut StoreJournal,
 }
 
 impl TVm<'_, '_> {
@@ -3022,6 +3033,7 @@ impl TVm<'_, '_> {
                             panic!("kernel write of unallocated device array {a}");
                         }
                         debug_assert_eq!(buf.elem_is_float(), src_f);
+                        let journaling = self.journal.on();
                         let fo = fast as usize * w;
                         let so = src as usize * w;
                         let po = idx_off as usize;
@@ -3030,10 +3042,14 @@ impl TVm<'_, '_> {
                                 lanes!(w, mask, l, {
                                     let flat = $flat_of(l);
                                     self.fast_rows[fo + l] = base + flat as u64 * eb;
+                                    let old = journaling.then(|| buf.bits(flat));
                                     if src_f {
                                         buf.set_f(flat, self.f[so + l]);
                                     } else {
                                         buf.set_i(flat, self.i[so + l]);
+                                    }
+                                    if let Some(old) = old {
+                                        self.journal.record(a, flat, old, buf.bits(flat));
                                     }
                                 });
                             };
@@ -3103,10 +3119,14 @@ impl TVm<'_, '_> {
                                     panic!("kernel write of unallocated device array {a}");
                                 }
                                 debug_assert_eq!(b.elem_is_float(), src_f);
+                                let old = self.journal.on().then(|| b.bits(flat));
                                 if src_f {
                                     b.set_f(flat, self.f[so + l]);
                                 } else {
                                     b.set_i(flat, self.i[so + l]);
+                                }
+                                if let Some(old) = old {
+                                    self.journal.record(a, flat, old, b.bits(flat));
                                 }
                             }
                         });

@@ -2,19 +2,28 @@
 //! must be observationally identical to the cold execution — same buffer
 //! bits, same scalar bits, same evidence totals, same priced cost — and
 //! writes to an input buffer must cleanly invalidate the memoized digest so
-//! iterative patterns re-execute.
+//! iterative patterns re-execute. Captures derive their deltas and digests
+//! from the launch's store journal, so after every miss and every replay the
+//! written buffers' memoized digests must equal a fresh full hash.
 
 use std::sync::Mutex;
 
 use acceval_ir::builder::*;
+use acceval_ir::env::{StoreMode, Toggle};
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{env_from_dataset, launch_with_engine, upload_all, DeviceState, Engine, LaunchResult};
+use acceval_ir::interp::gpu::{
+    env_from_dataset, launch_with_engine, set_launch_par_override, upload_all, DeviceState, Engine, LaunchPar,
+    LaunchResult,
+};
 use acceval_ir::interp::launch_cache::{
     clear_launch_cache, launch_cache_totals, set_launch_cache_cap_override, set_launch_cache_override, LaunchCache,
 };
+use acceval_ir::interp::opt::set_opt_override;
+use acceval_ir::interp::store::set_store_override;
 use acceval_ir::kernel::{axis, KernelPlan};
 use acceval_ir::program::{DataSet, HostData, Program};
-use acceval_ir::types::{ReduceOp, Value, VarRef};
+use acceval_ir::stmt::{visit_stmts, Stmt};
+use acceval_ir::types::{ReduceOp, ScalarId, Value, VarRef};
 use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload};
 use proptest::prelude::*;
 
@@ -22,22 +31,55 @@ use proptest::prelude::*;
 /// serialize every test that flips or reads them.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
+/// How a launch executes: engine, intra-launch parallelism, optimizer.
+#[derive(Debug, Clone, Copy)]
+struct Exec {
+    eng: Engine,
+    par: LaunchPar,
+    opt: bool,
+}
+
+/// Every store path that journals: the optimized bytecode VM serial and
+/// chunked, the unoptimized VM, and the tree walker.
+const EXECS: [Exec; 4] = [
+    Exec { eng: Engine::Bytecode, par: LaunchPar::Off, opt: true },
+    Exec { eng: Engine::Bytecode, par: LaunchPar::On, opt: true },
+    Exec { eng: Engine::Bytecode, par: LaunchPar::On, opt: false },
+    Exec { eng: Engine::Tree, par: LaunchPar::Off, opt: true },
+];
+
 /// Run `f` under cache policy `policy` with an empty cache, restoring the
 /// defaults (and clearing again) on exit — also on panic, so one failing
-/// test can't poison the store for the others.
+/// test can't poison the store for the others. The persistent store is off
+/// inside: these tests count in-memory hits and misses, and a disk tier
+/// left on by `ACCEVAL_STORE` would answer probes they expect to miss.
 fn with_cache<T>(policy: LaunchCache, f: impl FnOnce() -> T) -> T {
+    with_exec(policy, None, f)
+}
+
+/// [`with_cache`] with the launch-parallelism and optimizer policies of
+/// `exec` installed too (`None` leaves them at their defaults).
+fn with_exec<T>(policy: LaunchCache, exec: Option<Exec>, f: impl FnOnce() -> T) -> T {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             set_launch_cache_override(None);
             set_launch_cache_cap_override(None);
+            set_launch_par_override(None);
+            set_opt_override(None);
+            set_store_override(None);
             clear_launch_cache();
         }
     }
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _reset = Reset;
     clear_launch_cache();
     set_launch_cache_override(Some(policy));
+    set_store_override(Some(StoreMode::Off));
+    if let Some(x) = exec {
+        set_launch_par_override(Some(x.par));
+        set_opt_override(Some(if x.opt { Toggle::On } else { Toggle::Off }));
+    }
     f()
 }
 
@@ -71,8 +113,8 @@ fn values_bit_equal(a: &Value, b: &Value) -> bool {
 
 fn assert_states_bit_equal(
     tag: &str,
-    (da, sa, ra): &(DeviceState, Vec<Value>, LaunchResult),
-    (db, sb, rb): &(DeviceState, Vec<Value>, LaunchResult),
+    (da, sa, ra): &(&DeviceState, &Vec<Value>, Option<&LaunchResult>),
+    (db, sb, rb): &(&DeviceState, &Vec<Value>, Option<&LaunchResult>),
 ) {
     for (i, (x, y)) in da.bufs.iter().zip(db.bufs.iter()).enumerate() {
         match (x, y) {
@@ -84,6 +126,14 @@ fn assert_states_bit_equal(
     for (i, (x, y)) in sa.iter().zip(sb.iter()).enumerate() {
         assert!(values_bit_equal(x, y), "{tag}: scalar {i} diverges: {x:?} vs {y:?}");
     }
+    match (ra, rb) {
+        (Some(ra), Some(rb)) => assert_results_equal(tag, ra, rb),
+        (None, None) => {}
+        _ => panic!("{tag}: launch count diverges"),
+    }
+}
+
+fn assert_results_equal(tag: &str, ra: &LaunchResult, rb: &LaunchResult) {
     assert_eq!(ra.totals, rb.totals, "{tag}: totals diverge");
     assert_eq!(ra.totals.issue_cycles.to_bits(), rb.totals.issue_cycles.to_bits(), "{tag}: issue cycles diverge");
     assert_eq!(ra.footprint, rb.footprint, "{tag}: footprint diverges");
@@ -96,18 +146,84 @@ fn assert_states_bit_equal(
 /// cache on) must be indistinguishable bit-for-bit; the replay must score a
 /// real hit, the capture a real miss.
 fn assert_cache_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) {
-    let cold = with_cache(LaunchCache::Off, || run_one(p, ds, plan, eng));
-    let (capture, replay, dh, dm) = with_cache(LaunchCache::On, || {
+    assert_seq_transparent(p, ds, &[(plan, None)], eng, None);
+}
+
+/// One launch of a sequence: the plan and an optional integer scalar set
+/// on the host just before it (e.g. a wavefront's diagonal index).
+type Step<'a> = (&'a KernelPlan, Option<(ScalarId, i64)>);
+
+/// Launch `steps` in order on one fresh device. With `check_memos`, after
+/// every launch each array a plan stores to must carry a memoized digest,
+/// and every memoized digest must equal a fresh full hash of its buffer.
+fn run_seq(
+    p: &Program,
+    ds: &DataSet,
+    steps: &[Step<'_>],
+    eng: Engine,
+    check_memos: bool,
+) -> (DeviceState, Vec<Value>, Vec<LaunchResult>) {
+    let cfg = DeviceConfig::tesla_m2090();
+    let host = HostData::materialize(p, ds);
+    let mut dev = DeviceState::new(p, &cfg);
+    upload_all(p, &mut dev, &host);
+    let mut scal = env_from_dataset(p, ds);
+    let mut results = Vec::with_capacity(steps.len());
+    for (k, (plan, set)) in steps.iter().enumerate() {
+        if let Some((id, x)) = set {
+            scal[id.0 as usize] = Value::I(*x);
+        }
+        results.push(launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng));
+        if check_memos {
+            let mut written = Vec::new();
+            visit_stmts(&plan.body, &mut |s| {
+                if let Stmt::Store { array, .. } = s {
+                    written.push(array.0 as usize);
+                }
+            });
+            for (i, b) in dev.bufs.iter().enumerate() {
+                let Some(b) = b else { continue };
+                let memo = dev.tags[i].memoized();
+                assert!(
+                    memo.is_some() || !written.contains(&i),
+                    "kernel {} step {k}: written array {i} has no memoized digest",
+                    plan.name
+                );
+                if let Some(m) = memo {
+                    assert_eq!(m, b.content_digest(), "kernel {} step {k}: array {i} memo is stale", plan.name);
+                }
+            }
+        }
+    }
+    (dev, scal, results)
+}
+
+/// [`assert_cache_transparent`] over a launch sequence on one device, under
+/// `exec`'s parallelism and optimizer policies (defaults when `None`): the
+/// capture pass and the all-hit replay pass both match the cache-off run
+/// bit-for-bit after every launch, and every memo stays fresh.
+fn assert_seq_transparent(p: &Program, ds: &DataSet, steps: &[Step<'_>], eng: Engine, exec: Option<Exec>) {
+    let name = &steps[0].0.name;
+    let cold = with_exec(LaunchCache::Off, exec, || run_seq(p, ds, steps, eng, false));
+    let (capture, replay, cap_hits, cap_misses, re_hits, re_misses) = with_exec(LaunchCache::On, exec, || {
         let t0 = launch_cache_totals();
-        let a = run_one(p, ds, plan, eng);
-        let b = run_one(p, ds, plan, eng);
+        let a = run_seq(p, ds, steps, eng, true);
         let t1 = launch_cache_totals();
-        (a, b, t1.hits - t0.hits, t1.misses - t0.misses)
+        let b = run_seq(p, ds, steps, eng, true);
+        let t2 = launch_cache_totals();
+        (a, b, t1.hits - t0.hits, t1.misses - t0.misses, t2.hits - t1.hits, t2.misses - t1.misses)
     });
-    assert_eq!(dm, 1, "kernel {}: first launch must miss and capture", plan.name);
-    assert_eq!(dh, 1, "kernel {}: warm re-launch must hit", plan.name);
-    assert_states_bit_equal(&format!("kernel {} capture vs cold", plan.name), &capture, &cold);
-    assert_states_bit_equal(&format!("kernel {} replay vs cold", plan.name), &replay, &cold);
+    let n = steps.len() as u64;
+    assert!(cap_misses >= 1, "kernel {name}: the first launch must miss and capture");
+    assert_eq!(cap_hits + cap_misses, n, "kernel {name}: every capture-pass launch must probe");
+    assert_eq!((re_hits, re_misses), (n, 0), "kernel {name}: every re-launch must hit");
+    for (tag, run) in [("capture", &capture), ("replay", &replay)] {
+        let tag = format!("kernel {name} {tag} vs cold ({eng:?}, {exec:?})");
+        for (k, (x, y)) in run.2.iter().zip(&cold.2).enumerate() {
+            assert_results_equal(&format!("{tag} step {k}"), x, y);
+        }
+        assert_states_bit_equal(&tag, &(&run.0, &run.1, run.2.last()), &(&cold.0, &cold.1, cold.2.last()));
+    }
 }
 
 /// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
@@ -237,7 +353,11 @@ fn upload_invalidates_input_digest() {
         let r2 = launch_with_engine(&p, &plan, &mut dev, &mut scal2, &cfg, Engine::Bytecode);
         let t2 = launch_cache_totals();
         assert_eq!(t2.misses - t1.misses, 1, "changed upload must force a miss");
-        assert_states_bit_equal("post-upload relaunch vs cold", &(dev, scal2, r2), &cold2);
+        assert_states_bit_equal(
+            "post-upload relaunch vs cold",
+            &(&dev, &scal2, Some(&r2)),
+            &(&cold2.0, &cold2.1, Some(&cold2.2)),
+        );
     });
 }
 
@@ -288,17 +408,22 @@ fn tiny_cap_evicts_lru() {
 
 /// Build a race-free kernel body from a DNA vector (reads `x`, writes only
 /// `y[i]` and thread-local scalars) — the randomized transparency oracle.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32) -> KernelPlan {
+/// Besides pure scalar work the DNA can emit guarded (sparse) stores, two
+/// stores to the same element, a store that is undone later in the launch,
+/// and a write-back of the unchanged value; `final_store` appends a dense
+/// `y[i] = s` over the whole range.
+fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32, final_store: bool) -> KernelPlan {
     let n = p.scalar_named("n");
     let i = p.scalar_named("i");
     let j = p.scalar_named("j");
     let s = p.scalar_named("s");
+    let t = p.scalar_named("t");
     let x = p.array_named("x");
     let y = p.array_named("y");
     let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
     for &(op, c) in dna {
         let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
+        let stmt = match op % 9 {
             0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
             1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
             2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
@@ -308,29 +433,90 @@ fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32) -> KernelPlan {
                 vec![assign(s, v(s) + 2.0)],
                 vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
             ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
+            5 => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
+            // Guarded store: every (c + 2)-th element.
+            6 => iff((v(i) % (c + 2)).eq_(1i64), vec![store(y, vec![v(i)], v(s) + ld(y, vec![v(i)]))]),
+            // Two stores to one element; on odd `c` the second undoes the first.
+            7 => iff(
+                (v(i) % (c + 3)).eq_(0i64),
+                vec![
+                    assign(t, ld(y, vec![v(i)])),
+                    store(y, vec![v(i)], v(s) * 0.5),
+                    store(y, vec![v(i)], if c % 2 == 1 { v(t) } else { v(s) + 1.0 }),
+                ],
+            ),
+            // Write-back of the unchanged value.
+            _ => iff((v(i) % c).eq_(0i64), vec![store(y, vec![v(i)], ld(y, vec![v(i)]))]),
         };
         body.push(stmt);
     }
-    body.push(store(y, vec![v(i)], v(s)));
+    if final_store {
+        body.push(store(y, vec![v(i)], v(s)));
+    }
     let mut k = KernelPlan::new("dna", vec![axis(i, v(n))], body);
     k.block = (block, 1);
     finalized(k)
 }
 
+/// An NW-shaped wavefront: one launch per anti-diagonal `d`, each storing at
+/// most `n` cells of a large 2-D `score` array from its three upper-left
+/// neighbours. Every launch is a sparse capture against a buffer the
+/// previous launch's capture digested.
+#[test]
+fn anti_diagonal_wavefront_replays_sparse_deltas() {
+    let n = 160i64;
+    let mut pb = ProgramBuilder::new("wave");
+    let nn = pb.iscalar("n");
+    let d = pb.iscalar("d");
+    let t = pb.iscalar("t");
+    let refm = pb.farray("refm", vec![v(nn) + 1i64, v(nn) + 1i64]);
+    let score = pb.farray("score", vec![v(nn) + 1i64, v(nn) + 1i64]);
+    pb.main(vec![]);
+    let p = pb.build();
+    let w = (n + 1) as usize;
+    let ds = DataSet {
+        scalars: vec![(nn, Value::I(n))],
+        arrays: vec![
+            (refm, Buffer::from_f64(ElemType::F64, (0..w * w).map(|k| ((k * 7919) % 21) as f64 - 10.0).collect())),
+            (
+                score,
+                Buffer::from_f64(
+                    ElemType::F64,
+                    (0..w * w).map(|k| if k < w || k % w == 0 { -(k as f64) } else { 0.0 }).collect(),
+                ),
+            ),
+        ],
+        label: "wave".into(),
+    };
+    let (i, j) = (v(t) + 1i64, v(d) - v(t));
+    let at = |a, ie, je| ld(a, vec![ie, je]);
+    let cell = (at(score, i.clone() - 1i64, j.clone() - 1i64) + at(refm, i.clone(), j.clone()))
+        .max(at(score, i.clone() - 1i64, j.clone()) - 1.0)
+        .max(at(score, i.clone(), j.clone() - 1i64) - 1.0);
+    let plan = finalized(KernelPlan::new("wave", vec![axis(t, v(d))], vec![store(score, vec![i, j], cell)]));
+    let steps: Vec<Step<'_>> = (1..=n).map(|k| (&plan, Some((d, k)))).collect();
+    for x in EXECS {
+        assert_seq_transparent(&p, &ds, &steps, x.eng, Some(x));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized race-free bodies across block shapes: capture and replay
-    /// agree with the cache-off execution bit-for-bit.
+    /// Randomized race-free bodies across block shapes, launched twice in a
+    /// row on one device under every journaling store path: capture and
+    /// replay agree with the cache-off execution bit-for-bit.
     #[test]
     fn random_bodies_replay_bit_exactly(
-        dna in prop::collection::vec((0u8..6, 0i64..100), 1..8),
+        dna in prop::collection::vec((0u8..9, 0i64..100), 1..8),
         n in 65i64..400,
         block in prop::sample::select(vec![32u32, 64, 128]),
+        final_store in 0u8..2,
     ) {
         let (p, ds) = fixture(n);
-        let k = dna_kernel(&p, &dna, block);
-        assert_cache_transparent(&p, &ds, &k, Engine::Bytecode);
+        let k = dna_kernel(&p, &dna, block, final_store == 1);
+        for x in EXECS {
+            assert_seq_transparent(&p, &ds, &[(&k, None), (&k, None)], x.eng, Some(x));
+        }
     }
 }

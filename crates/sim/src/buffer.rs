@@ -198,39 +198,34 @@ impl Buffer {
         }
     }
 
-    /// 128-bit content digest of this buffer (element type, length, and
-    /// every element's raw bit pattern). Used as the content-addressing key
-    /// component for launch memoization; collisions would silently replay a
-    /// wrong launch, hence two independent 64-bit fold lanes rather than one.
-    pub fn content_digest(&self) -> u128 {
-        let mut d = Digest128::new();
-        d.push(elem_tag(self.elem));
-        d.push(self.len() as u64);
+    /// Raw bit pattern of element `i`: the word the content digest keys on.
+    #[inline]
+    pub fn bits(&self, i: usize) -> u64 {
         match &self.data {
-            Payload::F(v) => {
-                for x in v {
-                    d.push(x.to_bits());
-                }
-            }
-            Payload::I(v) => {
-                for x in v {
-                    d.push(*x as u64);
-                }
-            }
+            Payload::F(v) => v[i].to_bits(),
+            Payload::I(v) => v[i] as u64,
         }
-        d.finish()
     }
 
-    /// Seed a [`Digest128`] with this buffer's header (element-type tag and
-    /// length) exactly as [`Buffer::content_digest`] does. Callers that
-    /// already walk every element for another reason can fold the element
-    /// bits into the returned digest themselves and obtain the same value as
-    /// `content_digest` in a single pass.
-    pub fn digest_header(&self) -> Digest128 {
-        let mut d = Digest128::new();
-        d.push(elem_tag(self.elem));
-        d.push(self.len() as u64);
-        d
+    /// 128-bit content digest of this buffer: a header over the element
+    /// type and length plus, per lane, the sum mod 2^64 of a position-keyed
+    /// term for every element's raw bits. Used as the content-addressing key
+    /// component for launch memoization; collisions would silently replay a
+    /// wrong launch, hence two independently keyed 64-bit lanes rather than
+    /// one. Because the digest is a sum, a launch that changed a few
+    /// elements updates it with [`digest_update`] instead of re-hashing.
+    pub fn content_digest(&self) -> u128 {
+        let (mut lo, mut hi) = split(digest_header(self.elem, self.len()));
+        let mut add = |i: usize, bits: u64| {
+            let (a, b) = term(i, bits);
+            lo = lo.wrapping_add(a);
+            hi = hi.wrapping_add(b);
+        };
+        match &self.data {
+            Payload::F(v) => v.iter().enumerate().for_each(|(i, x)| add(i, x.to_bits())),
+            Payload::I(v) => v.iter().enumerate().for_each(|(i, x)| add(i, *x as u64)),
+        }
+        join(lo, hi)
     }
 
     /// Maximum absolute difference against another float buffer.
@@ -259,23 +254,68 @@ fn elem_tag(elem: ElemType) -> u64 {
     }
 }
 
-/// Digest of the all-zero buffer of a given shape, without materializing it.
+/// Digest of the all-zero buffer of a given shape, without materializing it:
+/// zero elements contribute nothing to the sum, so this is the header alone.
 /// Lets `DeviceState::alloc` recognize a device buffer that already holds
 /// zeros and skip the clear.
 pub fn zero_digest(elem: ElemType, len: usize) -> u128 {
+    digest_header(elem, len)
+}
+
+/// Content digest of a buffer after element `i` changed from bits `old` to
+/// bits `new`, given its digest `d` before the change (see
+/// [`Buffer::content_digest`]). Applying this for every changed element of a
+/// launch yields exactly the digest a full re-hash would.
+#[inline]
+pub fn digest_update(d: u128, i: usize, old: u64, new: u64) -> u128 {
+    let (lo, hi) = split(d);
+    let (a0, b0) = term(i, old);
+    let (a1, b1) = term(i, new);
+    join(lo.wrapping_add(a1.wrapping_sub(a0)), hi.wrapping_add(b1.wrapping_sub(b0)))
+}
+
+/// The header both lanes start from: the stream hash of (type tag, length).
+fn digest_header(elem: ElemType, len: usize) -> u128 {
     let mut d = Digest128::new();
     d.push(elem_tag(elem));
     d.push(len as u64);
-    let word = if elem.is_float() { 0f64.to_bits() } else { 0u64 };
-    for _ in 0..len {
-        d.push(word);
-    }
     d.finish()
 }
 
-/// Two-lane multiply-xor fold producing a 128-bit digest. Same per-lane
-/// recurrence as the coalescing layer's `FoldHasher`, run twice with
-/// distinct odd multipliers so the lanes decorrelate.
+/// Per-lane contribution of element `i` holding raw bits `x`: the bits are
+/// spread by an invertible xor-shift-multiply that maps 0 to 0, then
+/// multiplied by an odd per-lane key derived from the index. For a fixed
+/// `i` each lane is therefore a bijection of `x` that maps 0 to 0: any
+/// single-element change moves both lanes, and zeros cost nothing. The keys
+/// are a nonlinear mix of `i`, so moving values between positions (swaps,
+/// shifts) changes the sum.
+#[inline]
+fn term(i: usize, x: u64) -> (u64, u64) {
+    let s = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+    let s = s ^ (s >> 29);
+    let mut k = (i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    k = (k ^ (k >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    k ^= k >> 29;
+    let key_lo = k | 1;
+    let key_hi = (k.rotate_left(32) ^ 0xc2b2_ae3d_27d4_eb4f) | 1;
+    (s.wrapping_mul(key_lo), s.wrapping_mul(key_hi))
+}
+
+#[inline]
+fn split(d: u128) -> (u64, u64) {
+    (d as u64, (d >> 64) as u64)
+}
+
+#[inline]
+fn join(lo: u64, hi: u64) -> u128 {
+    ((hi as u128) << 64) | lo as u128
+}
+
+/// Two-lane multiply-xor fold producing a 128-bit digest of a word stream.
+/// Same per-lane recurrence as the coalescing layer's `FoldHasher`, run
+/// twice with distinct odd multipliers so the lanes decorrelate. Plan
+/// fingerprints, layout digests and store checksums use it; buffer contents
+/// use the additive [`Buffer::content_digest`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct Digest128 {
     lo: u64,
@@ -440,8 +480,99 @@ mod tests {
 
     #[test]
     fn zero_digest_matches_zeroed_buffer() {
-        for (elem, len) in [(ElemType::F64, 7), (ElemType::F32, 0), (ElemType::I32, 3), (ElemType::I64, 16)] {
-            assert_eq!(zero_digest(elem, len), Buffer::zeroed(elem, len).content_digest());
+        for elem in [ElemType::F32, ElemType::F64, ElemType::I32, ElemType::I64] {
+            for len in 0..=1000 {
+                assert_eq!(zero_digest(elem, len), Buffer::zeroed(elem, len).content_digest(), "{elem:?} x {len}");
+            }
+        }
+    }
+
+    /// Both 64-bit lanes of a digest.
+    fn lanes(d: u128) -> (u64, u64) {
+        (d as u64, (d >> 64) as u64)
+    }
+
+    /// Deterministic xorshift stream for the randomized digest tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn single_element_change_moves_both_lanes() {
+        let base: Vec<f64> = (0..64).map(|k| k as f64 * 0.5).collect();
+        let d0 = lanes(Buffer::from_f64(ElemType::F64, base.clone()).content_digest());
+        for i in 0..base.len() {
+            // Small, sign-only and exponent-only changes all move both lanes.
+            for nv in [base[i] + 1.0, -base[i], base[i] * 2.0, f64::from_bits(base[i].to_bits() ^ 1)] {
+                if nv.to_bits() == base[i].to_bits() {
+                    continue;
+                }
+                let mut v = base.clone();
+                v[i] = nv;
+                let d1 = lanes(Buffer::from_f64(ElemType::F64, v).content_digest());
+                assert_ne!(d0.0, d1.0, "low lane unmoved at {i} -> {nv}");
+                assert_ne!(d0.1, d1.1, "high lane unmoved at {i} -> {nv}");
+            }
+        }
+        let ints = Buffer::from_i64(ElemType::I64, vec![0; 32]);
+        for i in 0..32 {
+            let mut b = ints.clone();
+            b.set_i(i, 1);
+            let (lo, hi) = lanes(b.content_digest());
+            let (lo0, hi0) = lanes(ints.content_digest());
+            assert!(lo != lo0 && hi != hi0, "integer change at {i} must move both lanes");
+        }
+    }
+
+    #[test]
+    fn swapping_unequal_elements_changes_digest() {
+        let v: Vec<i64> = (0..40).map(|k| (k * 7 % 11) as i64).collect();
+        let d0 = Buffer::from_i64(ElemType::I32, v.clone()).content_digest();
+        for i in 0..v.len() {
+            for j in i + 1..v.len() {
+                if v[i] == v[j] {
+                    continue;
+                }
+                let mut w = v.clone();
+                w.swap(i, j);
+                assert_ne!(d0, Buffer::from_i64(ElemType::I32, w).content_digest(), "swap {i}<->{j}");
+            }
+        }
+        // Two mirrored adjacent swaps cancel under a linear index weight;
+        // the mixed keys must still tell the buffers apart.
+        let a = Buffer::from_f64(ElemType::F64, vec![1.0, 2.0, 5.0, 2.0, 1.0]);
+        let b = Buffer::from_f64(ElemType::F64, vec![2.0, 1.0, 5.0, 1.0, 2.0]);
+        assert_ne!(a.content_digest(), b.content_digest());
+    }
+
+    #[test]
+    fn incremental_update_matches_full_recompute() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..200 {
+            let len = 1 + (xorshift(&mut rng) % 700) as usize;
+            let float = round % 2 == 0;
+            let mut b = if float {
+                Buffer::from_f64(ElemType::F64, (0..len).map(|k| (k % 13) as f64 - 3.5).collect())
+            } else {
+                Buffer::from_i64(ElemType::I32, (0..len).map(|k| (k % 17) as i64).collect())
+            };
+            let mut d = b.content_digest();
+            // A sparse delta that may revisit an index or rewrite a value
+            // unchanged; the update must track every step exactly.
+            for _ in 0..1 + xorshift(&mut rng) % 20 {
+                let i = (xorshift(&mut rng) % len as u64) as usize;
+                let old = b.bits(i);
+                match xorshift(&mut rng) % 3 {
+                    0 => {}
+                    1 if float => b.set_f(i, (xorshift(&mut rng) % 1000) as f64 * 0.25),
+                    _ => b.set_i(i, (xorshift(&mut rng) % 1000) as i64 - 500),
+                }
+                d = digest_update(d, i, old, b.bits(i));
+            }
+            assert_eq!(d, b.content_digest(), "round {round}");
         }
     }
 

@@ -33,7 +33,7 @@ pub mod exec;
 pub mod stats;
 pub mod trace;
 
-pub use buffer::{zero_digest, BufGen, Buffer, Digest128, ElemType, Payload};
+pub use buffer::{digest_update, zero_digest, BufGen, Buffer, Digest128, ElemType, Payload};
 pub use cache::{Cache, Hierarchy};
 pub use coalesce::{bank_conflict_slots, segments_touched, AccessSummary, AffineRowMemo, SharedSummary, SiteWarpTrace};
 pub use config::{DeviceConfig, HostConfig, LinkConfig, MachineConfig, Occupancy};
