@@ -23,8 +23,9 @@ use acceval_sim::{
 
 use crate::expr::{Expr, Intrin};
 use crate::interp::bytecode::{self, intrin_cost};
-use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey, StoreJournal};
+use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey, StoreJournal, TexEffect};
 use crate::interp::opt;
+use crate::interp::store;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
 use crate::program::{eval_const, Program};
@@ -627,9 +628,9 @@ fn launch_impl(
         arr_acc.insert(a, b);
     }
 
-    // Texture sites mutate the cross-launch texture cache, which makes the
-    // launch both ineligible for memoization (state the key cannot cover)
-    // and for intra-launch parallelism (shared mutable cache).
+    // Texture sites read and mutate the cross-launch texture cache: the
+    // launch key covers its entry state and the effect carries its exit
+    // state, and the launch stays serial (one shared mutable cache).
     let has_tex = site_kinds.iter().any(|k| {
         matches!(k, SiteKind::Mem(a)
             if plan.expansion_of(*a).is_none() && matches!(plan.space_of(*a), MemSpace::Texture))
@@ -640,14 +641,17 @@ fn launch_impl(
     // scalars, readable array contents): probe the content-addressed cache
     // and replay the captured effect on a hit. Opaque bodies (calls into
     // program functions) have an unbounded effect set and always execute.
+    // Texture launches also depend on the texture cache they find, which
+    // their keys cover; they are memoized through the persistent store
+    // only (see `launch_cache`), so without it they are not keyed at all.
     let arrays = body_arrays(plan, &red_arrays);
     // Optimizer activation is part of the launch identity: effects are
     // byte-identical by contract, but keying the mode keeps a cached effect
     // from ever crossing an optimizer boundary.
     let opt_on = eng == Engine::Bytecode && opt::opt_enabled();
     // The engine is part of the launch identity too, for the same reason.
-    let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && !has_tex {
-        Some(build_launch_key(plan, dev, cfg, scal, &extents, eng, opt_on, traced, &arrays))
+    let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && (!has_tex || store::store_enabled()) {
+        Some(build_launch_key(plan, dev, cfg, scal, &extents, eng, opt_on, traced, &arrays, has_tex))
     } else {
         None
     };
@@ -657,7 +661,7 @@ fn launch_impl(
                 launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
                 launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
             }
-            return replay_effect(&effect, dev, scal, sink, traced);
+            return replay_effect(&effect, &plan.name, dev, scal, sink, traced);
         }
         launch_cache::note_miss();
     }
@@ -1116,7 +1120,8 @@ fn launch_impl(
             sink.emit(ev);
         }
         if dev.tex_cache.hits != tex_hits0 || dev.tex_cache.misses != tex_misses0 {
-            // Texture launches are never memoized, so this event is not captured.
+            // Cumulative counters: not captured, replay rebuilds it from
+            // the effect's counter deltas (see `TexEffect`).
             sink.emit(dev.tex_cache.trace_event(&format!("{}/texture", plan.name)));
         }
         let ev = cost.trace_event(&plan.name, &footprint, &totals, cfg);
@@ -1145,12 +1150,13 @@ fn launch_impl(
     if let Some(key) = cache_key {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
-        // writebacks, the result, and the trace-event slice. Journaled
+        // writebacks, the result, the trace-event slice, and a texture
+        // launch's exit tag lists and counter deltas. Journaled
         // arrays capture from their store log; overflowed ones, reduction
         // targets and any array without a pre-launch digest are copied
         // whole and re-hashed.
         let mut outputs: Vec<(u32, ArrayOut, u128)> = Vec::with_capacity(arrays.writes.len());
-        launch_cache::timed_digest(|| {
+        let tex = launch_cache::timed_digest(|| {
             for (&i, pre) in arrays.writes.iter().zip(&pre_digests) {
                 let Some(post) = dev.bufs[i].as_ref() else { continue };
                 let journaled = pre.and_then(|d| journal.capture(i, d, post));
@@ -1159,11 +1165,16 @@ fn launch_impl(
                 dev.tags[i].prime(d);
                 outputs.push((i as u32, out, d));
             }
+            has_tex.then(|| TexEffect {
+                exit: dev.tex_cache.tags(),
+                hits: dev.tex_cache.hits - tex_hits0,
+                misses: dev.tex_cache.misses - tex_misses0,
+            })
         });
         let scalar_writes: Vec<(usize, Value)> = red_scalar.iter().map(|&(slot, _, _)| (slot, scal[slot])).collect();
         launch_cache::insert(
             key,
-            LaunchEffect { outputs, scalar_writes, result: result.clone(), events: captured_events },
+            LaunchEffect { outputs, scalar_writes, result: result.clone(), events: captured_events, tex },
         );
     }
     result
@@ -1214,7 +1225,8 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
 
 /// Assemble the content-addressed key of this launch. Buffer digests go
 /// through the generation memos, so a steady-state probe hashes nothing but
-/// the (small) config/layout/scalar material.
+/// the (small) config/layout/scalar material, plus the texture cache's tag
+/// lists for a launch with texture sites.
 #[allow(clippy::too_many_arguments)]
 fn build_launch_key(
     plan: &KernelPlan,
@@ -1226,6 +1238,7 @@ fn build_launch_key(
     opt: bool,
     traced: bool,
     arrays: &BodyArrays,
+    has_tex: bool,
 ) -> LaunchKey {
     launch_cache::timed_digest(|| {
         let plan_fp = plan.engine_cache.fingerprint(plan);
@@ -1286,6 +1299,7 @@ fn build_launch_key(
             },
             scalars,
             inputs,
+            tex_state: has_tex.then(|| dev.tex_cache.state_digest()),
         }
     })
 }
@@ -1295,6 +1309,7 @@ fn build_launch_key(
 /// the launch.
 fn replay_effect(
     effect: &LaunchEffect,
+    kernel: &str,
     dev: &mut DeviceState,
     scal: &mut [Value],
     sink: &mut dyn TraceSink,
@@ -1329,9 +1344,21 @@ fn replay_effect(
     for &(slot, v) in &effect.scalar_writes {
         scal[slot] = v;
     }
+    let mut tex_event = None;
+    if let Some(t) = &effect.tex {
+        dev.tex_cache.restore_tags(&t.exit);
+        dev.tex_cache.hits += t.hits;
+        dev.tex_cache.misses += t.misses;
+        if traced && (t.hits, t.misses) != (0, 0) {
+            tex_event = Some(dev.tex_cache.trace_event(&format!("{kernel}/texture")));
+        }
+    }
     if traced {
-        for e in &effect.events {
-            sink.emit(e.clone());
+        // A traced slice ends with the `KernelLaunch` event; execution
+        // emits the texture counters just before it.
+        let (body, last) = effect.events.split_at(effect.events.len().saturating_sub(1));
+        for e in body.iter().cloned().chain(tex_event).chain(last.iter().cloned()) {
+            sink.emit(e);
         }
     }
     effect.result.clone()
@@ -1938,6 +1965,8 @@ fn price_warp(
     totals.warps += 1;
     let mut divergent_rows = 0u64;
     let mut extra_issue = 0.0f64;
+    // A texture row's distinct cache lines, reused across rows and sites.
+    let mut lines: Vec<u64> = Vec::new();
     for (i, tr) in traces.iter().enumerate() {
         // The bytecode engine tracks which sites recorded anything this
         // warp; skipping the rest changes nothing (empty traces price to
@@ -2003,10 +2032,11 @@ fn price_warp(
                         let (req0, miss0) = (totals.tex_requests, totals.tex_miss_lines);
                         tr.for_each_row(|row| {
                             totals.tex_requests += 1;
-                            let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
+                            lines.clear();
+                            lines.extend(row.iter().map(|a| a / line));
                             lines.sort_unstable();
                             lines.dedup();
-                            for l in lines {
+                            for &l in &lines {
                                 if !tex_cache.access(l * line) {
                                     totals.tex_miss_lines += 1;
                                 }
@@ -2034,10 +2064,11 @@ fn price_warp(
                         tr.for_each_row(|row| {
                             totals.global_requests += 1;
                             lanes += row.len() as u64;
-                            let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
+                            lines.clear();
+                            lines.extend(row.iter().map(|a| a / line));
                             lines.sort_unstable();
                             lines.dedup();
-                            for l in lines {
+                            for &l in &lines {
                                 if !tex_cache.access(l * line) {
                                     totals.global_transactions += tx_per_line;
                                 }

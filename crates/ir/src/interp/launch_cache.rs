@@ -3,14 +3,16 @@
 //! A launch on the simulated device is a *pure* function of its content:
 //! the plan's geometry-invariant fingerprint, the live launch geometry, the
 //! device configuration, the host scalar environment, and the contents of
-//! every device array the body can read. The tuning sweep re-runs thousands
+//! every device array the body can read (plus, for a launch with texture
+//! sites, the texture cache's tag lists). The tuning sweep re-runs thousands
 //! of launches that are bit-identical under that key — tuning points share
 //! their lowering basis, so for most kernels only one knob differs between
 //! tasks while every other kernel repeats the exact same work. This module
 //! pays for each distinct launch once per process and replays its complete
 //! captured effect everywhere else: per-array output deltas, scalar
-//! writebacks, the [`LaunchResult`], and the launch's relative trace-event
-//! slice, so even `RecordingSink` output is byte-identical on a hit.
+//! writebacks, the texture cache's exit state, the [`LaunchResult`], and
+//! the launch's relative trace-event slice, so even `RecordingSink` output
+//! is byte-identical on a hit.
 //!
 //! Keys stay cheap through the generation tags on [`super::gpu::DeviceState`]
 //! buffers ([`acceval_sim::BufGen`]): content digests are memoized per
@@ -25,6 +27,14 @@
 //! miss probes the persistent store before executing, a disk hit is promoted
 //! into the LRU, and captured effects are spilled write-behind — so a fresh
 //! process warm-starts from everything earlier processes computed.
+//!
+//! Texture launches use the disk tier only: they are keyed and captured
+//! only while the store is enabled, spilled, and never held in the LRU.
+//! Their keys include the texture cache's state, which any different
+//! launch sequence before them changes, so they rarely recur within one
+//! process (none of the 61 texture launches of a CFD/NW/CG Figure-1 sweep
+//! do), while their dense outputs are large. A later process that repeats
+//! the sweep finds every one of them on disk.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -32,7 +42,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use acceval_sim::{Buffer, TraceEvent};
+use acceval_sim::{Buffer, CacheTags, TraceEvent};
 
 use super::gpu::LaunchResult;
 use crate::types::Value;
@@ -233,7 +243,8 @@ pub fn thread_cache_counters() -> (u64, u64, u64, u64) {
 /// lowering decisions, the live fields cover geometry retargeting, the
 /// config digest covers the priced device, the layout digest covers the
 /// address-space layout and array extents, and the scalar/input vectors
-/// cover every value the body can observe.
+/// cover every value the body can observe. A launch with texture sites
+/// also depends on the texture cache it finds, which `tex_state` covers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LaunchKey {
     /// Geometry-invariant plan fingerprint ([`crate::kernel::EngineCache::fingerprint`]).
@@ -264,6 +275,11 @@ pub struct LaunchKey {
     /// Content digests of the readable device arrays, in array-id order;
     /// `None` marks an unallocated array.
     pub inputs: Vec<(u32, Option<u128>)>,
+    /// For launches with texture sites only: the device texture cache's
+    /// [`acceval_sim::Cache::state_digest`] at entry (geometry and every
+    /// set's tag list). The cache's counters are not covered; effects
+    /// carry their deltas.
+    pub tex_state: Option<u128>,
 }
 
 /// One array's captured output: what the launch did to the device copy.
@@ -286,19 +302,40 @@ pub struct LaunchEffect {
     pub scalar_writes: Vec<(usize, Value)>,
     /// The launch's result (cost, totals, footprint, active threads).
     pub result: LaunchResult,
-    /// The launch's relative trace-event slice (empty when untraced).
+    /// The launch's relative trace-event slice (empty when untraced),
+    /// without the texture-cache counters event: that one carries
+    /// cumulative counters, so replay rebuilds it (see [`TexEffect`]).
     pub events: Vec<TraceEvent>,
+    /// What a launch with texture sites did to the device texture cache.
+    pub tex: Option<TexEffect>,
+}
+
+/// A texture launch's effect on the device texture cache. The key pins the
+/// entry state, so the exit state is a function of it: replay restores the
+/// tag lists and adds the counter deltas. A traced replay emits the
+/// `<kernel>/texture` counters event from the post-replay counters when
+/// the deltas are nonzero, just before the final (`KernelLaunch`) event,
+/// where execution emits it.
+#[derive(Debug, Clone)]
+pub struct TexEffect {
+    /// Tag lists at exit.
+    pub exit: CacheTags,
+    /// Hits the launch added.
+    pub hits: u64,
+    /// Misses the launch added.
+    pub misses: u64,
 }
 
 impl LaunchEffect {
-    /// Approximate resident bytes of this effect, for the byte cap.
+    /// Approximate resident bytes of this effect, for the byte cap and the
+    /// spill queue.
     ///
     /// Element costs come from `mem::size_of`, not hand-kept constants: a
     /// `Vec<(u32, u64)>` element occupies 16 bytes (alignment padding), not
     /// the 12 bytes of its fields, and dense buffers store every element as
     /// 8 bytes (`Vec<f64>`/`Vec<i64>`) regardless of the declared element
-    /// width. Scalar writebacks and the actual per-variant trace-event
-    /// payloads are accounted too.
+    /// width. Scalar writebacks, the actual per-variant trace-event
+    /// payloads and texture tag lists are accounted too.
     pub(crate) fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut b = (size_of::<LaunchKey>() + size_of::<Slot>() + size_of::<LaunchEffect>() + 64) as u64;
@@ -311,6 +348,7 @@ impl LaunchEffect {
         }
         b += (self.scalar_writes.len() * size_of::<(usize, Value)>()) as u64;
         b += self.events.iter().map(TraceEvent::resident_bytes).sum::<u64>();
+        b += self.tex.as_ref().map_or(0, |t| t.exit.heap_bytes());
         b
     }
 }
@@ -487,24 +525,33 @@ pub enum ProbeTier {
 
 /// Two-tier lookup: the in-memory LRU first, then the persistent store. A
 /// disk hit is decoded, promoted into the LRU (without re-spilling), and
-/// reported with [`ProbeTier::Disk`] so callers can attribute it.
+/// reported with [`ProbeTier::Disk`] so callers can attribute it. Texture
+/// keys go to the store alone (see the module docs).
 pub fn probe_two_tier(key: &LaunchKey) -> Option<(Arc<LaunchEffect>, ProbeTier)> {
-    if let Some(e) = probe(key) {
-        return Some((e, ProbeTier::Memory));
+    let tex = key.tex_state.is_some();
+    if !tex {
+        if let Some(e) = probe(key) {
+            return Some((e, ProbeTier::Memory));
+        }
     }
     let eff = Arc::new(super::store::probe_effect(key)?);
-    insert_arc(key.clone(), eff.clone());
+    if !tex {
+        insert_arc(key.clone(), eff.clone());
+    }
     Some((eff, ProbeTier::Disk))
 }
 
 /// Insert a captured effect, evicting least-recently-used entries to stay
 /// under the byte cap, and spill it write-behind to the persistent store
 /// (when enabled). An effect that alone exceeds the in-memory cap is not
-/// LRU-cached but is still spilled — the disk tier has its own cap.
+/// LRU-cached but is still spilled — the disk tier has its own cap. A
+/// texture effect is only spilled.
 pub fn insert(key: LaunchKey, effect: LaunchEffect) {
     let effect = Arc::new(effect);
     super::store::spill_effect(&key, &effect);
-    insert_arc(key, effect);
+    if key.tex_state.is_none() {
+        insert_arc(key, effect);
+    }
 }
 
 /// LRU-only insert (no disk spill): shared by [`insert`] and the disk-hit

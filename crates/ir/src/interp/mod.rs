@@ -379,9 +379,17 @@ impl<'p, M: Machine> Interp<'p, M> {
                 }
             }
             Expr::Intrin(f, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect();
+                // Intrinsics take at most two arguments; any further ones
+                // are still evaluated (and charged) but never read.
+                let mut vals = [Value::I(0); 2];
+                for (k, a) in args.iter().enumerate() {
+                    let x = self.eval(a);
+                    if let Some(slot) = vals.get_mut(k) {
+                        *slot = x;
+                    }
+                }
                 self.m.intrin(*f);
-                eval_intrin(*f, &vals)
+                eval_intrin(*f, &vals[..args.len().min(2)])
             }
             Expr::CastI(a) => {
                 let x = self.eval(a);

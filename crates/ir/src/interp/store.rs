@@ -11,11 +11,11 @@
 //! `results/.acceval-store/`):
 //!
 //! ```text
-//! v1/<2-hex-shard>/<32-hex-address>.bin   one entry per file
-//! v1/tmp/                                 staging for atomic renames
-//! v1/quarantine/                          entries that failed verification
-//! v1/index.log                            append-only insert/delete journal
-//! v1/evict.lock                           advisory lock for eviction/clear
+//! v2/<2-hex-shard>/<32-hex-address>.bin   one entry per file
+//! v2/tmp/                                 staging for atomic renames
+//! v2/quarantine/                          entries that failed verification
+//! v2/index.log                            append-only insert/delete journal
+//! v2/evict.lock                           advisory lock for eviction/clear
 //! ```
 //!
 //! The address is a [`Digest128`] of (entry kind, build epoch, full key
@@ -48,7 +48,7 @@ use std::time::{Duration, Instant, SystemTime};
 use acceval_sim::{Buffer, Digest128, ElemType, Payload, TraceEvent};
 
 use super::gpu::LaunchResult;
-use super::launch_cache::{ArrayOut, LaunchEffect, LaunchKey};
+use super::launch_cache::{ArrayOut, LaunchEffect, LaunchKey, TexEffect};
 use crate::env::{self, StoreMode};
 use crate::types::Value;
 
@@ -58,10 +58,11 @@ pub const KIND_LAUNCH: u8 = 1;
 pub const KIND_ORACLE: u8 = 2;
 
 const MAGIC: &[u8; 8] = b"ACEVSTR1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Subdirectory versioning the layout; bump with the entry format.
-const LAYOUT: &str = "v1";
+/// Subdirectory versioning the layout; bump with the entry format, so
+/// entries of another format never share an address with this one's.
+pub const LAYOUT: &str = "v2";
 
 /// Default store root when `ACCEVAL_STORE` is `on` or auto-enabled.
 const DEFAULT_ROOT: &str = "results/.acceval-store";
@@ -1172,6 +1173,13 @@ pub fn encode_launch_key(k: &LaunchKey) -> Vec<u8> {
             None => e.u8(0),
         }
     }
+    match k.tex_state {
+        Some(x) => {
+            e.u8(1);
+            e.u128(x);
+        }
+        None => e.u8(0),
+    }
     e.buf
 }
 
@@ -1209,7 +1217,44 @@ fn encode_effect(eff: &LaunchEffect) -> Vec<u8> {
     for ev in &eff.events {
         enc_event(&mut e, ev);
     }
+    match &eff.tex {
+        Some(t) => {
+            e.u8(1);
+            e.u64(t.hits);
+            e.u64(t.misses);
+            e.u32(t.exit.lens.len() as u32);
+            for &n in &t.exit.lens {
+                e.u32(n);
+            }
+            e.u32(t.exit.tags.len() as u32);
+            for &tag in &t.exit.tags {
+                e.u64(tag);
+            }
+        }
+        None => e.u8(0),
+    }
     e.buf
+}
+
+fn dec_tex(d: &mut Dec) -> Option<TexEffect> {
+    let (hits, misses) = (d.u64()?, d.u64()?);
+    let n_sets = d.u32()? as usize;
+    if n_sets.checked_mul(4)? > d.bytes.len() {
+        return None;
+    }
+    let mut lens = Vec::with_capacity(n_sets);
+    for _ in 0..n_sets {
+        lens.push(d.u32()?);
+    }
+    let n_tags = d.u32()? as usize;
+    if n_tags.checked_mul(8)? > d.bytes.len() || lens.iter().map(|&n| n as usize).sum::<usize>() != n_tags {
+        return None;
+    }
+    let mut tags = Vec::with_capacity(n_tags);
+    for _ in 0..n_tags {
+        tags.push(d.u64()?);
+    }
+    Some(TexEffect { exit: acceval_sim::CacheTags { lens, tags }, hits, misses })
 }
 
 fn decode_effect(bytes: &[u8]) -> Option<LaunchEffect> {
@@ -1253,10 +1298,15 @@ fn decode_effect(bytes: &[u8]) -> Option<LaunchEffect> {
     for _ in 0..n_ev {
         events.push(dec_event(&mut d)?);
     }
+    let tex = match d.u8()? {
+        0 => None,
+        1 => Some(dec_tex(&mut d)?),
+        _ => return None,
+    };
     if !d.done() {
         return None;
     }
-    Some(LaunchEffect { outputs, scalar_writes, result, events })
+    Some(LaunchEffect { outputs, scalar_writes, result, events, tex })
 }
 
 /// Probe the disk tier for a launch effect. Counts a disk hit/miss; any
@@ -1379,6 +1429,11 @@ mod tests {
                     compile_cached: false,
                 },
             ],
+            tex: Some(TexEffect {
+                exit: acceval_sim::CacheTags { lens: vec![2, 0, 1], tags: vec![9, 1, 4] },
+                hits: 17,
+                misses: 5,
+            }),
         }
     }
 
@@ -1395,6 +1450,7 @@ mod tests {
             layout_digest: 22,
             scalars: vec![(1, f64::to_bits(3.5)), (2, 42)],
             inputs: vec![(0, Some(0x1234)), (1, None)],
+            tex_state: None,
         }
     }
 
@@ -1408,6 +1464,17 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_effect(&bytes[..cut]).is_none(), "truncation at {cut} must not decode");
         }
+        // So does an effect without texture state.
+        let plain = LaunchEffect { tex: None, ..sample_effect() };
+        let back = decode_effect(&encode_effect(&plain)).expect("decodes");
+        assert_eq!(format!("{plain:?}"), format!("{back:?}"));
+    }
+
+    #[test]
+    fn resident_bytes_count_texture_tags() {
+        let eff = sample_effect();
+        let plain = LaunchEffect { tex: None, ..sample_effect() };
+        assert_eq!(eff.resident_bytes() - plain.resident_bytes(), 3 * 4 + 3 * 8);
     }
 
     #[test]
@@ -1422,6 +1489,12 @@ mod tests {
         let mut k = sample_key();
         k.opt = true;
         assert_ne!(a, encode_launch_key(&k));
+        let mut k = sample_key();
+        k.tex_state = Some(0);
+        let b = encode_launch_key(&k);
+        assert_ne!(a, b);
+        k.tex_state = Some(1);
+        assert_ne!(b, encode_launch_key(&k));
         assert_eq!(a, encode_launch_key(&sample_key()));
     }
 
@@ -1451,7 +1524,7 @@ mod tests {
         assert_ne!(address(KIND_LAUNCH, b"k"), address(KIND_ORACLE, b"k"));
         assert_ne!(address(KIND_LAUNCH, b"k1"), address(KIND_LAUNCH, b"k2"));
         let p = entry_path(Path::new("/tmp/s"), 0xff00u128);
-        assert!(p.starts_with("/tmp/s/v1/00"), "sharded by leading hex: {p:?}");
+        assert!(p.starts_with(Path::new("/tmp/s").join(LAYOUT).join("00")), "sharded by leading hex: {p:?}");
     }
 
     #[test]

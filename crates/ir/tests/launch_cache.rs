@@ -5,6 +5,9 @@
 //! iterative patterns re-execute. Captures derive their deltas and digests
 //! from the launch's store journal, so after every miss and every replay the
 //! written buffers' memoized digests must equal a fresh full hash.
+//! Launches that read through the texture cache are keyed by the cache's
+//! entry state and replay its exit state: after every launch the tag lists,
+//! counters and trace events must match execution too.
 
 use std::sync::Mutex;
 
@@ -12,19 +15,19 @@ use acceval_ir::builder::*;
 use acceval_ir::env::{StoreMode, Toggle};
 use acceval_ir::expr::{ld, v};
 use acceval_ir::interp::gpu::{
-    env_from_dataset, launch_with_engine, set_launch_par_override, upload_all, DeviceState, Engine, LaunchPar,
-    LaunchResult,
+    env_from_dataset, launch_traced_with_engine, launch_with_engine, set_launch_par_override, upload_all, DeviceState,
+    Engine, LaunchPar, LaunchResult,
 };
 use acceval_ir::interp::launch_cache::{
     clear_launch_cache, launch_cache_totals, set_launch_cache_cap_override, set_launch_cache_override, LaunchCache,
 };
 use acceval_ir::interp::opt::set_opt_override;
-use acceval_ir::interp::store::set_store_override;
-use acceval_ir::kernel::{axis, KernelPlan};
+use acceval_ir::interp::store::{flush_store, set_store_override};
+use acceval_ir::kernel::{axis, KernelPlan, MemSpace};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::stmt::{visit_stmts, Stmt};
 use acceval_ir::types::{ReduceOp, ScalarId, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload};
+use acceval_sim::{Buffer, CacheTags, DeviceConfig, ElemType, NullSink, Payload, RecordingSink, TraceEvent, TraceSink};
 use proptest::prelude::*;
 
 /// The cache policy, byte cap, and hit counters are process-global;
@@ -497,6 +500,216 @@ fn anti_diagonal_wavefront_replays_sparse_deltas() {
     let steps: Vec<Step<'_>> = (1..=n).map(|k| (&plan, Some((d, k)))).collect();
     for x in EXECS {
         assert_seq_transparent(&p, &ds, &steps, x.eng, Some(x));
+    }
+}
+
+/// A gather through the texture cache: `y[i] = x[(i * stride) % n] +
+/// x[(i * 7 + 3) % n] / 2`, with `x` placed in texture memory.
+fn tex_plan(p: &Program, stride: i64, name: &str) -> KernelPlan {
+    let n = p.scalar_named("n");
+    let i = p.scalar_named("i");
+    let x = p.array_named("x");
+    let y = p.array_named("y");
+    let body = vec![store(
+        y,
+        vec![v(i)],
+        ld(x, vec![(v(i) * stride) % v(n)]) + ld(x, vec![(v(i) * 7i64 + 3i64) % v(n)]) * 0.5,
+    )];
+    finalized(KernelPlan::new(name, vec![axis(i, v(n))], body).with_placement(x, MemSpace::Texture))
+}
+
+/// The devices texture launches are checked on: the preset `ACCEVAL_DEVICE`
+/// selects, plus one with a texture path (M2090) and one that reads
+/// texture-placed data through the unified L1 (P100).
+fn tex_devices() -> Vec<DeviceConfig> {
+    let mut cfgs = vec![DeviceConfig::tesla_m2090(), DeviceConfig::pascal_p100()];
+    let env = DeviceConfig::from_env();
+    if !cfgs.contains(&env) {
+        cfgs.push(env);
+    }
+    assert!(cfgs.iter().any(|c| c.has_texture_path) && cfgs.iter().any(|c| !c.has_texture_path));
+    cfgs
+}
+
+/// What one launch leaves that replay must reproduce: its result, the
+/// texture cache's tag lists and (hits, misses) counters after it, and its
+/// trace events.
+type TexStep = (LaunchResult, CacheTags, (u64, u64), Vec<TraceEvent>);
+
+/// Launch `steps` in order on one fresh device of `cfg`, recording a
+/// [`TexStep`] after each. `perturb` runs on the device before the first
+/// launch (e.g. to warm the texture cache).
+fn run_tex_seq(
+    p: &Program,
+    ds: &DataSet,
+    steps: &[&KernelPlan],
+    eng: Engine,
+    cfg: &DeviceConfig,
+    traced: bool,
+    perturb: impl Fn(&mut DeviceState),
+) -> (DeviceState, Vec<Value>, Vec<TexStep>) {
+    let host = HostData::materialize(p, ds);
+    let mut dev = DeviceState::new(p, cfg);
+    upload_all(p, &mut dev, &host);
+    perturb(&mut dev);
+    let mut scal = env_from_dataset(p, ds);
+    let mut rec = RecordingSink::new();
+    let mut out = Vec::with_capacity(steps.len());
+    for plan in steps {
+        let sink: &mut dyn TraceSink = if traced { &mut rec } else { &mut NullSink };
+        let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, cfg, sink, eng);
+        out.push((r, dev.tex_cache.tags(), (dev.tex_cache.hits, dev.tex_cache.misses), rec.take()));
+    }
+    (dev, scal, out)
+}
+
+/// Two texture runs agree after every launch: results, texture tag lists,
+/// counters and trace events, then every buffer and scalar.
+fn assert_tex_runs_equal(
+    tag: &str,
+    (da, sa, a): &(DeviceState, Vec<Value>, Vec<TexStep>),
+    (db, sb, b): &(DeviceState, Vec<Value>, Vec<TexStep>),
+) {
+    assert_eq!(a.len(), b.len(), "{tag}: launch count diverges");
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_results_equal(&format!("{tag} step {k}"), &x.0, &y.0);
+        assert!(x.1 == y.1, "{tag} step {k}: texture tag lists diverge");
+        assert_eq!(x.2, y.2, "{tag} step {k}: texture counters diverge");
+        assert_eq!(x.3, y.3, "{tag} step {k}: trace events diverge");
+    }
+    assert_states_bit_equal(tag, &(da, sa, None), &(db, sb, None));
+}
+
+/// A scratch store root for one texture test; removed on drop.
+struct TexStore(std::path::PathBuf);
+
+impl TexStore {
+    fn new(name: &str) -> Self {
+        let root = std::env::temp_dir().join(format!("acceval-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        TexStore(root)
+    }
+
+    /// Attach the store (inside `with_cache`, which detaches it again).
+    fn attach(&self) {
+        set_store_override(Some(StoreMode::Path(self.0.clone())));
+    }
+}
+
+impl Drop for TexStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A texture-reading kernel launched repeatedly on one device: every pass
+/// matches the cache-off execution after every launch, on the texture path
+/// and the unified-L1 path, under both engines, traced and untraced.
+/// Texture effects go through the persistent store only: the first pass
+/// captures and spills them (a key that repeats within it may already find
+/// its spilled entry), and once the store is flushed every launch of the
+/// later passes replays from disk. The in-memory cache never holds one,
+/// and with the store detached texture launches are not memoized at all.
+#[test]
+fn texture_launches_replay_cache_state() {
+    let (p, ds) = fixture(6000);
+    let a = tex_plan(&p, 5, "tex_a");
+    let b = tex_plan(&p, 11, "tex_b");
+    // From the second `a` on, each `a` leaves the texture cache as it
+    // found it, so later `a`s repeat the second one's key.
+    let steps = [&a, &a, &a, &a, &b, &a, &a, &a];
+    let n = steps.len() as u64;
+    for cfg in tex_devices() {
+        for eng in [Engine::Bytecode, Engine::Tree] {
+            for traced in [false, true] {
+                let tag = format!("{} {eng:?} traced={traced}", cfg.name);
+                let cold = with_cache(LaunchCache::Off, || run_tex_seq(&p, &ds, &steps, eng, &cfg, traced, |_| {}));
+                assert!(
+                    cold.2[0].2 != (0, 0) && cold.2.windows(2).all(|w| w[0].2 != w[1].2),
+                    "{tag}: every launch must use the texture cache"
+                );
+                if traced {
+                    assert!(
+                        cold.2.iter().all(|s| s.3.iter().any(|e| matches!(e, TraceEvent::CacheCounters { .. }))),
+                        "{tag}: every traced launch must emit texture counters"
+                    );
+                }
+                let (detached, detached_counts) = with_cache(LaunchCache::On, || {
+                    let t0 = launch_cache_totals();
+                    let r = run_tex_seq(&p, &ds, &steps, eng, &cfg, traced, |_| {});
+                    let t1 = launch_cache_totals();
+                    (r, (t1.hits - t0.hits, t1.disk_hits - t0.disk_hits, t1.misses - t0.misses, t1.entries))
+                });
+                assert_eq!(detached_counts, (0, 0, 0, 0), "{tag}: without a store texture launches must not probe");
+                assert_tex_runs_equal(&format!("{tag} store detached vs cold"), &detached, &cold);
+                let store = TexStore::new("tex-replay");
+                let (passes, counts) = with_cache(LaunchCache::On, || {
+                    store.attach();
+                    let (mut passes, mut counts) = (Vec::new(), Vec::new());
+                    for _ in 0..3 {
+                        let t0 = launch_cache_totals();
+                        passes.push(run_tex_seq(&p, &ds, &steps, eng, &cfg, traced, |_| {}));
+                        flush_store();
+                        let t1 = launch_cache_totals();
+                        counts.push((
+                            t1.hits - t0.hits,
+                            t1.disk_hits - t0.disk_hits,
+                            t1.misses - t0.misses,
+                            t1.entries,
+                        ));
+                    }
+                    (passes, counts)
+                });
+                let (hits, disk, misses, entries) = counts[0];
+                assert!(
+                    (hits, entries) == (0, 0) && disk + misses == n && misses >= 2,
+                    "{tag}: the first pass must capture every distinct key and keep none in memory: {counts:?}"
+                );
+                assert!(
+                    counts[1..].iter().all(|&c| c == (0, n, 0, 0)),
+                    "{tag}: later passes must replay from disk: {counts:?}"
+                );
+                for (k, run) in passes.iter().enumerate() {
+                    assert_tex_runs_equal(&format!("{tag} pass {k} vs cold"), run, &cold);
+                }
+            }
+        }
+    }
+}
+
+/// Equal inputs, scalars and geometry meeting a different texture cache
+/// must miss: the cache's entry state is part of the launch's identity.
+#[test]
+fn texture_entry_state_is_keyed() {
+    let (p, ds) = fixture(3000);
+    let a = tex_plan(&p, 5, "tex_a");
+    // Preload the first line of `x` (device address 0) and a line the
+    // kernel never reads into the same set.
+    let warm = |dev: &mut DeviceState| {
+        dev.tex_cache.access(0);
+        dev.tex_cache.access(1 << 40);
+    };
+    for cfg in tex_devices() {
+        for eng in [Engine::Bytecode, Engine::Tree] {
+            let tag = format!("{} {eng:?}", cfg.name);
+            let cold = with_cache(LaunchCache::Off, || run_tex_seq(&p, &ds, &[&a], eng, &cfg, true, warm));
+            let store = TexStore::new("tex-keyed");
+            let (warmed, warm_counts, cold_hits) = with_cache(LaunchCache::On, || {
+                store.attach();
+                // Capture the launch from a cold texture cache.
+                let _ = run_tex_seq(&p, &ds, &[&a], eng, &cfg, true, |_| {});
+                flush_store();
+                let t0 = launch_cache_totals();
+                let r = run_tex_seq(&p, &ds, &[&a], eng, &cfg, true, warm);
+                let t1 = launch_cache_totals();
+                let _ = run_tex_seq(&p, &ds, &[&a], eng, &cfg, true, |_| {});
+                let t2 = launch_cache_totals();
+                (r, (t1.disk_hits - t0.disk_hits, t1.misses - t0.misses), t2.disk_hits - t1.disk_hits)
+            });
+            assert_eq!(cold_hits, 1, "{tag}: the cold-cache launch must hit");
+            assert_eq!(warm_counts, (0, 1), "{tag}: a different texture entry state must miss");
+            assert_tex_runs_equal(&format!("{tag} warmed vs cold"), &warmed, &cold);
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 use acceval_ir::env::StoreMode;
 use acceval_ir::interp::store::{
     clear_store, flush_store, get_blob, put_blob, set_store_cap_override, set_store_override, store_stats,
-    store_totals, KIND_LAUNCH, KIND_ORACLE,
+    store_totals, KIND_LAUNCH, KIND_ORACLE, LAYOUT,
 };
 
 static STORE_LOCK: Mutex<()> = Mutex::new(());
@@ -43,7 +43,7 @@ impl Scratch {
     /// Every published entry file under the shard dirs (not tmp/quarantine).
     fn entries(&self) -> Vec<PathBuf> {
         let mut out = Vec::new();
-        let Ok(shards) = fs::read_dir(self.root.join("v1")) else { return out };
+        let Ok(shards) = fs::read_dir(self.root.join(LAYOUT)) else { return out };
         for shard in shards.flatten() {
             let name = shard.file_name().to_string_lossy().into_owned();
             if !shard.path().is_dir() || name == "tmp" || name == "quarantine" {
@@ -58,7 +58,7 @@ impl Scratch {
     }
 
     fn quarantined(&self) -> usize {
-        fs::read_dir(self.root.join("v1").join("quarantine")).map(|d| d.flatten().count()).unwrap_or(0)
+        fs::read_dir(self.root.join(LAYOUT).join("quarantine")).map(|d| d.flatten().count()).unwrap_or(0)
     }
 }
 
@@ -245,7 +245,7 @@ fn quarantine_dir_is_outside_the_probe_path() {
     let s = Scratch::new("qdir");
     put_and_flush(KIND_ORACLE, b"key", b"payload");
     let entry = s.entries().pop().unwrap();
-    let qdir = s.root.join("v1").join("quarantine");
+    let qdir = s.root.join(LAYOUT).join("quarantine");
     fs::create_dir_all(&qdir).unwrap();
     fs::copy(&entry, qdir.join(entry.file_name().unwrap())).unwrap();
     fs::remove_file(&entry).unwrap();

@@ -45,10 +45,14 @@ impl Cache {
         let line = addr >> self.set_shift;
         let set = (line & self.set_mask) as usize;
         let tags = &mut self.sets[set];
+        if tags.first() == Some(&line) {
+            // Already the MRU line: the LRU order does not change.
+            self.hits += 1;
+            return true;
+        }
         if let Some(pos) = tags.iter().position(|&t| t == line) {
-            // move to MRU position
-            let t = tags.remove(pos);
-            tags.insert(0, t);
+            // Move to the MRU position, shifting the more recent lines down.
+            tags[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {
@@ -83,12 +87,71 @@ impl Cache {
         self.line_bytes
     }
 
+    /// Digest of the cache's contents: its geometry (sets, ways, line
+    /// bytes) and every set's tag list in MRU order. Equal digests mean
+    /// equal future hit/miss behaviour; the counters are not covered.
+    pub fn state_digest(&self) -> u128 {
+        let mut d = crate::Digest128::new();
+        d.push(self.sets.len() as u64);
+        d.push(self.ways as u64);
+        d.push(self.line_bytes);
+        for s in &self.sets {
+            d.push(s.len() as u64);
+            for &t in s {
+                d.push(t);
+            }
+        }
+        d.finish()
+    }
+
+    /// The tag lists, compactly (see [`CacheTags`]).
+    pub fn tags(&self) -> CacheTags {
+        let held = self.sets.iter().map(Vec::len).sum();
+        let mut t = CacheTags { lens: Vec::with_capacity(self.sets.len()), tags: Vec::with_capacity(held) };
+        for s in &self.sets {
+            t.lens.push(s.len() as u32);
+            t.tags.extend_from_slice(s);
+        }
+        t
+    }
+
+    /// Replace the tag lists with `t`, taken from a cache of the same
+    /// geometry. The counters are left alone.
+    pub fn restore_tags(&mut self, t: &CacheTags) {
+        assert_eq!(t.lens.len(), self.sets.len(), "tag snapshot from a cache of another geometry");
+        let mut at = 0;
+        for (s, &n) in self.sets.iter_mut().zip(&t.lens) {
+            let n = n as usize;
+            assert!(n <= self.ways, "tag snapshot from a cache of another geometry");
+            s.clear();
+            s.extend_from_slice(&t.tags[at..at + n]);
+            at += n;
+        }
+    }
+
     /// Snapshot the cumulative hit/miss counters as a
     /// [`TraceEvent::CacheCounters`] labelled `cache`.
     ///
     /// [`TraceEvent::CacheCounters`]: crate::trace::TraceEvent::CacheCounters
     pub fn trace_event(&self, cache: &str) -> crate::trace::TraceEvent {
         crate::trace::TraceEvent::CacheCounters { cache: cache.to_string(), hits: self.hits, misses: self.misses }
+    }
+}
+
+/// The tag lists of a [`Cache`]: every set's tags in MRU order,
+/// concatenated, and each set's length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheTags {
+    /// Tags held per set, in set order.
+    pub lens: Vec<u32>,
+    /// The sets' tag lists, most recent first, back to back.
+    pub tags: Vec<u64>,
+}
+
+impl CacheTags {
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.lens.len() * std::mem::size_of::<u32>() + self.tags.len() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -195,6 +258,59 @@ mod tests {
         h.access_cycles(128);
         h.access_cycles(256);
         assert_eq!(h.access_cycles(0), 8.0); // L1 miss, L2 hit
+    }
+
+    /// The in-place MRU update gives the same hit/miss sequence and the
+    /// same final tag order as a plain remove-and-reinsert LRU.
+    #[test]
+    fn matches_reference_lru_on_random_stream() {
+        let (sets, ways, line) = (16usize, 4usize, 64u64);
+        let mut c = Cache::new((sets * ways) as u32 * line as u32, ways as u32, line as u32);
+        let mut reference: Vec<Vec<u64>> = vec![Vec::new(); sets];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200_000 {
+            // xorshift64; addresses over 3x the capacity, with hot reuse.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = if x % 4 == 0 { (x >> 8) % 16 * line } else { (x >> 8) % (3 * (sets * ways) as u64 * line) };
+            let l = addr / line;
+            let r = &mut reference[(l % sets as u64) as usize];
+            let hit = match r.iter().position(|&t| t == l) {
+                Some(pos) => {
+                    let t = r.remove(pos);
+                    r.insert(0, t);
+                    true
+                }
+                None => {
+                    if r.len() == ways {
+                        r.pop();
+                    }
+                    r.insert(0, l);
+                    false
+                }
+            };
+            assert_eq!(c.access(addr), hit);
+        }
+        assert_eq!(c.sets, reference);
+        let snap = c.tags();
+        assert_eq!(snap.tags, reference.concat());
+    }
+
+    #[test]
+    fn tag_snapshot_restores_state_and_digest() {
+        let mut c = Cache::new(1024, 4, 64);
+        for a in [0u64, 64, 4096, 0, 128, 8192, 64] {
+            c.access(a);
+        }
+        let (snap, d) = (c.tags(), c.state_digest());
+        let mut fresh = Cache::new(1024, 4, 64);
+        assert_ne!(fresh.state_digest(), d);
+        fresh.restore_tags(&snap);
+        assert_eq!(fresh.state_digest(), d);
+        assert_eq!(fresh.sets, c.sets);
+        // Same tags, other geometry: another digest.
+        assert_ne!(Cache::new(1024, 4, 32).state_digest(), Cache::new(1024, 4, 64).state_digest());
     }
 
     #[test]

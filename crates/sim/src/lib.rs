@@ -34,7 +34,7 @@ pub mod stats;
 pub mod trace;
 
 pub use buffer::{digest_update, zero_digest, BufGen, Buffer, Digest128, ElemType, Payload};
-pub use cache::{Cache, Hierarchy};
+pub use cache::{Cache, CacheTags, Hierarchy};
 pub use coalesce::{bank_conflict_slots, segments_touched, AccessSummary, AffineRowMemo, SharedSummary, SiteWarpTrace};
 pub use config::{DeviceConfig, HostConfig, LinkConfig, MachineConfig, Occupancy};
 pub use error::SimError;

@@ -16,7 +16,7 @@ use acceval::ir::env::StoreMode;
 use acceval::ir::interp::launch_cache::{
     clear_launch_cache, launch_cache_totals, set_launch_cache_override, LaunchCache,
 };
-use acceval::ir::interp::store::{flush_store, set_store_override, store_totals};
+use acceval::ir::interp::store::{flush_store, set_store_override, store_totals, LAYOUT};
 use acceval::models::ModelKind;
 use acceval::profile::chrome_trace;
 use acceval::report::figure1_csv;
@@ -65,7 +65,7 @@ fn with_store<T>(store: StoreMode, cache: LaunchCache, threads: usize, f: impl F
 
 fn flip_every_entry(root: &Path) -> usize {
     let mut flipped = 0;
-    let Ok(shards) = fs::read_dir(root.join("v1")) else { return 0 };
+    let Ok(shards) = fs::read_dir(root.join(LAYOUT)) else { return 0 };
     for shard in shards.flatten() {
         let name = shard.file_name().to_string_lossy().into_owned();
         if !shard.path().is_dir() || name == "tmp" || name == "quarantine" {
